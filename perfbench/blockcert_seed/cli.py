@@ -1,0 +1,425 @@
+"""Command line front end: polynomial text grammar, JSON/CSV serialization,
+and the subcommands wired to the library.
+
+Text grammar (whitespace insignificant)::
+
+    poly   := [ '-' ] term ( ( '+' | '-' ) term )*
+    term   := coeff [ '*' factor ( '*' factor )* ]
+            | factor ( '*' factor )*
+    factor := 'x[' int ',' int ']' [ '^' posint ]
+    coeff  := int [ '/' posint ]
+
+Exit codes: 0 success or a true answer, 1 a false answer, 2 usage or parse
+error, 3 precondition violation.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import sys
+from fractions import Fraction
+from typing import Sequence
+
+from .combinatorics import Block, enumerate_blocks, pivot_lemma_check, split_lemma_check
+from .decompose import (
+    Certificate,
+    CertificateEntry,
+    decompose,
+    vanishing_bound,
+    verify_certificate,
+)
+from .errors import MalformedCertificateError, ParseError, PreconditionError
+from .hilbert import GradedReport, graded_report
+from .ring import IndexSet, Monomial, Polynomial, eq_mod_relations, normal_form
+
+
+# ---------------------------------------------------------------------------
+# text format
+
+_SYMBOLS = set("[],^*/+-x")
+
+
+class _Scanner:
+    def __init__(self, text: str):
+        self.text = text
+        self.pos = 0
+
+    def _skip_ws(self) -> None:
+        while self.pos < len(self.text) and self.text[self.pos].isspace():
+            self.pos += 1
+
+    def peek(self) -> str | None:
+        self._skip_ws()
+        if self.pos >= len(self.text):
+            return None
+        ch = self.text[self.pos]
+        if ch.isdigit():
+            return "int"
+        if ch in _SYMBOLS:
+            return ch
+        raise ParseError(f"unexpected character {ch!r}", self.pos)
+
+    def take_symbol(self, expected: str) -> None:
+        got = self.peek()
+        if got != expected:
+            raise ParseError(f"expected {expected!r}, found {got or 'end of input'!r}", self.pos)
+        self.pos += 1
+
+    def take_int(self) -> int:
+        if self.peek() != "int":
+            raise ParseError("expected an integer", self.pos)
+        start = self.pos
+        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+            self.pos += 1
+        return int(self.text[start:self.pos])
+
+
+def parse_poly(text: str, ground: IndexSet) -> Polynomial:
+    """Parse polynomial text over an explicit ground set into canonical form."""
+    scanner = _Scanner(text)
+    monomials: list[Monomial] = []
+
+    def factor(exps: dict) -> None:
+        scanner.take_symbol("x")
+        scanner.take_symbol("[")
+        at = scanner.pos
+        i = scanner.take_int()
+        scanner.take_symbol(",")
+        j = scanner.take_int()
+        scanner.take_symbol("]")
+        if i == j:
+            raise ParseError(f"variable x[{i},{j}] has equal indices", at)
+        if i not in ground or j not in ground:
+            raise ParseError(f"variable x[{i},{j}] outside ground set {list(ground)}", at)
+        e = 1
+        if scanner.peek() == "^":
+            scanner.take_symbol("^")
+            at = scanner.pos
+            e = scanner.take_int()
+            if e < 1:
+                raise ParseError("exponent must be a positive integer", at)
+        exps[(i, j)] = exps.get((i, j), 0) + e
+
+    def term(sign: int) -> None:
+        coeff = Fraction(sign)
+        exps: dict = {}
+        if scanner.peek() == "int":
+            num = scanner.take_int()
+            if scanner.peek() == "/":
+                scanner.take_symbol("/")
+                at = scanner.pos
+                den = scanner.take_int()
+                if den < 1:
+                    raise ParseError("denominator must be a positive integer", at)
+                coeff *= Fraction(num, den)
+            else:
+                coeff *= num
+            if scanner.peek() == "*":
+                scanner.take_symbol("*")
+                factor(exps)
+            else:
+                if coeff:
+                    monomials.append(Monomial.make(ground, coeff, {}))
+                return
+        else:
+            factor(exps)
+        while scanner.peek() == "*":
+            scanner.take_symbol("*")
+            factor(exps)
+        if coeff:
+            monomials.append(Monomial.make(ground, coeff, exps))
+
+    first = scanner.peek()
+    if first is None:
+        raise ParseError("empty input", scanner.pos)
+    sign = 1
+    if first == "-":
+        scanner.take_symbol("-")
+        sign = -1
+    term(sign)
+    while (op := scanner.peek()) in ("+", "-"):
+        scanner.take_symbol(op)
+        term(1 if op == "+" else -1)
+    if scanner.peek() is not None:
+        raise ParseError("trailing input after polynomial", scanner.pos)
+    return Polynomial.from_terms(ground, monomials)
+
+
+def poly_to_str(p: Polynomial) -> str:
+    """Canonical text form; ``parse_poly`` inverts it over the same ground set."""
+    if p.is_zero:
+        return "0"
+    chunks = []
+    for k, t in enumerate(p.terms):
+        magnitude = abs(t.coeff)
+        factors = [
+            f"x[{i},{j}]" + (f"^{e}" if e > 1 else "")
+            for (i, j), e in t.exps
+        ]
+        if not factors or magnitude != 1:
+            factors.insert(0, str(magnitude))
+        body = "*".join(factors)
+        if k == 0:
+            chunks.append(body if t.coeff > 0 else f"-{body}")
+        else:
+            chunks.append(f"+{body}" if t.coeff > 0 else f"-{body}")
+    return "".join(chunks)
+
+
+# ---------------------------------------------------------------------------
+# JSON format
+
+def poly_to_json(p: Polynomial) -> dict:
+    return {
+        "terms": [
+            {"coeff": str(t.coeff), "exps": [[[i, j], e] for (i, j), e in t.exps]}
+            for t in p.terms
+        ]
+    }
+
+
+def poly_from_json(obj, ground: IndexSet) -> Polynomial:
+    try:
+        monomials = [
+            Monomial.make(ground, Fraction(term["coeff"]), {tuple(pair): e for pair, e in term["exps"]})
+            for term in obj["terms"]
+        ]
+        return Polynomial.from_terms(ground, monomials)
+    except MalformedCertificateError:
+        raise
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+        raise MalformedCertificateError(f"bad polynomial object: {exc}") from exc
+
+
+def certificate_to_json(cert: Certificate) -> dict:
+    return {
+        "ground": list(cert.ground),
+        "g": cert.g,
+        "input": poly_to_json(cert.input.as_poly()),
+        "entries": [
+            {"left": list(entry.block.left), "cofactor": poly_to_json(entry.cofactor)}
+            for entry in cert.entries
+        ],
+    }
+
+
+def certificate_from_json(obj) -> Certificate:
+    try:
+        ground = IndexSet(tuple(obj["ground"]))
+        g = obj["g"]
+        input_poly = poly_from_json(obj["input"], ground)
+        if len(input_poly.terms) != 1:
+            raise MalformedCertificateError("certificate input must be a single monomial")
+        entries = []
+        for raw in obj["entries"]:
+            left = tuple(sorted(raw["left"]))
+            block = Block(ground, left)
+            entries.append(CertificateEntry(block, poly_from_json(raw["cofactor"], ground)))
+        return Certificate(ground, g, input_poly.terms[0], tuple(entries))
+    except MalformedCertificateError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
+        raise MalformedCertificateError(f"bad certificate object: {exc}") from exc
+
+
+def report_to_csv(report: GradedReport) -> str:
+    lines = ["degree,dimR,dimJ,dimQuotient"]
+    lines.extend(f"{d},{r},{j},{q}" for d, r, j, q in report.rows)
+    return "\n".join(lines)
+
+
+def report_to_json(report: GradedReport) -> dict:
+    return {
+        "ground": list(report.ground),
+        "g": report.g,
+        "rows": [
+            {"degree": d, "dimR": r, "dimJ": j, "dimQuotient": q}
+            for d, r, j, q in report.rows
+        ],
+    }
+
+
+# ---------------------------------------------------------------------------
+# subcommands
+
+def _ground_arg(text: str) -> IndexSet:
+    try:
+        labels = tuple(int(part) for part in text.split(","))
+        return IndexSet(labels)
+    except (ValueError, PreconditionError) as exc:
+        raise argparse.ArgumentTypeError(f"bad ground set {text!r}: {exc}") from exc
+
+
+def _emit(payload) -> None:
+    print(json.dumps(payload, indent=2))
+
+
+def _cmd_nf(args) -> int:
+    p = normal_form(parse_poly(args.poly, args.ground))
+    _emit(poly_to_json(p)) if args.json else print(poly_to_str(p))
+    return 0
+
+
+def _cmd_eq(args) -> int:
+    equal = eq_mod_relations(
+        parse_poly(args.left, args.ground), parse_poly(args.right, args.ground)
+    )
+    print("true" if equal else "false")
+    return 0 if equal else 1
+
+
+def _parse_monomial(text: str, ground: IndexSet) -> Monomial:
+    p = parse_poly(text, ground)
+    if len(p.terms) != 1:
+        raise PreconditionError(f"expected a single monomial, got {len(p.terms)} terms")
+    return p.terms[0]
+
+
+def _cmd_decompose(args) -> int:
+    cert = decompose(_parse_monomial(args.monomial, args.ground), args.g)
+    _emit(certificate_to_json(cert))
+    return 0
+
+
+def _cmd_verify(args) -> int:
+    if args.certificate == "-":
+        obj = json.load(sys.stdin)
+    else:
+        with open(args.certificate, "r", encoding="utf-8") as handle:
+            obj = json.load(handle)
+    valid = verify_certificate(certificate_from_json(obj))
+    print("true" if valid else "false")
+    return 0 if valid else 1
+
+
+def _cmd_bound(args) -> int:
+    print(vanishing_bound(len(args.ground), args.g))
+    return 0
+
+
+def _cmd_blocks(args) -> int:
+    blocks = enumerate_blocks(args.ground)
+    if args.json:
+        _emit([{"left": list(b.left), "right": list(b.right)} for b in blocks])
+    else:
+        for b in blocks:
+            print("{%s}x{%s}" % (",".join(map(str, b.left)), ",".join(map(str, b.right))))
+    return 0
+
+
+def _summarize_check(name: str, checked: int, failures: list, as_json: bool) -> int:
+    if as_json:
+        _emit({"checked": checked, "failures": [list(f) for f in failures[:10]]})
+    elif failures:
+        print(f"{name}: {len(failures)} of {checked} cases FAILED, first: {failures[0]}")
+    else:
+        print(f"{name}: all {checked} cases hold")
+    return 1 if failures else 0
+
+
+def _cmd_lemma_lines(args) -> int:
+    checked, failures = pivot_lemma_check(args.ground, args.g, samples=args.samples, seed=args.seed)
+    kind = "sampled" if args.samples else "exhaustive"
+    return _summarize_check(f"pivot selection ({kind})", checked, failures, args.json)
+
+
+def _cmd_lemma_partition(args) -> int:
+    checked, failures = split_lemma_check(args.ground, args.g)
+    return _summarize_check("degree dichotomy (exhaustive)", checked, failures, args.json)
+
+
+def _cmd_hilbert(args) -> int:
+    base = vanishing_bound(len(args.ground), args.g)
+    lo = args.dmin if args.dmin is not None else base
+    hi = args.dmax if args.dmax is not None else base + 1
+    if lo > hi:
+        raise PreconditionError(f"empty degree range {lo}..{hi}")
+    report = graded_report(args.ground, args.g, range(lo, hi + 1))
+    _emit(report_to_json(report)) if args.json else print(report_to_csv(report))
+    return 0
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="blockcert",
+        description="Exact block-monomial membership certificates in the pair-relation ring.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    def common(p: argparse.ArgumentParser, with_g: bool = False) -> None:
+        p.add_argument("--ground", type=_ground_arg, required=True,
+                       help="comma-separated ascending labels, e.g. 1,2,3")
+        if with_g:
+            p.add_argument("--g", type=int, required=True, help="block exponent parameter (>= 2)")
+
+    p = sub.add_parser("nf", help="normal form of a polynomial")
+    common(p)
+    p.add_argument("poly")
+    p.add_argument("--json", action="store_true")
+    p.set_defaults(handler=_cmd_nf)
+
+    p = sub.add_parser("eq", help="equality of two polynomials modulo the relations")
+    common(p)
+    p.add_argument("left")
+    p.add_argument("right")
+    p.set_defaults(handler=_cmd_eq)
+
+    p = sub.add_parser("decompose", help="certificate for a monomial above the vanishing bound")
+    common(p, with_g=True)
+    p.add_argument("monomial")
+    p.set_defaults(handler=_cmd_decompose)
+
+    p = sub.add_parser("verify", help="verify a certificate (JSON from file or stdin)")
+    p.add_argument("certificate", nargs="?", default="-", help="path, or - for stdin")
+    p.set_defaults(handler=_cmd_verify)
+
+    p = sub.add_parser("bound", help="the vanishing bound n(n-1)g - n + 2")
+    common(p, with_g=True)
+    p.set_defaults(handler=_cmd_bound)
+
+    p = sub.add_parser("blocks", help="list the blocks of a ground set")
+    common(p)
+    p.add_argument("--json", action="store_true")
+    p.set_defaults(handler=_cmd_blocks)
+
+    p = sub.add_parser("lemma-lines", help="check pivot selection over extremal count tables")
+    common(p, with_g=True)
+    p.add_argument("--samples", type=int, default=0, help="random tables instead of exhaustion")
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--json", action="store_true")
+    p.set_defaults(handler=_cmd_lemma_lines)
+
+    p = sub.add_parser("lemma-partition", help="check the two-sided degree dichotomy")
+    common(p, with_g=True)
+    p.add_argument("--json", action="store_true")
+    p.set_defaults(handler=_cmd_lemma_partition)
+
+    p = sub.add_parser("hilbert", help="graded dimensions around the vanishing bound")
+    common(p, with_g=True)
+    p.add_argument("--dmin", type=int, default=None)
+    p.add_argument("--dmax", type=int, default=None)
+    p.add_argument("--json", action="store_true")
+    p.set_defaults(handler=_cmd_hilbert)
+
+    return parser
+
+
+def main(argv: Sequence[str] | None = None) -> int:
+    parser = _build_parser()
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        return exc.code if isinstance(exc.code, int) else 2
+    try:
+        return args.handler(args)
+    except (ParseError, MalformedCertificateError, json.JSONDecodeError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except PreconditionError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
+
+
+if __name__ == "__main__":
+    sys.exit(main())

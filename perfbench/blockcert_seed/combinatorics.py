@@ -1,0 +1,297 @@
+"""Blocks of a ground set, pair-count tables, pivot selection, monomial splits.
+
+A block is an ordered bipartition (left, right) of the ground set; its pairs
+are left x right.  The decomposition driver picks a pivot label whose removal
+keeps enough degree among the remaining labels, splits monomials accordingly,
+and routes base-variable monomials to one side of a block by a two-sided
+degree dichotomy.  Everything here is deterministic and exact.
+"""
+
+from __future__ import annotations
+
+import random
+from dataclasses import dataclass
+from fractions import Fraction
+from functools import cached_property
+from typing import Iterable, Iterator, Mapping, NamedTuple
+
+from .errors import PreconditionError
+from .ring import IndexSet, Label, Monomial, Pair
+
+
+def _require_g(g: int) -> None:
+    if not isinstance(g, int) or g < 2:
+        raise PreconditionError(f"parameter g must be an integer >= 2, got {g!r}")
+
+
+@dataclass(frozen=True)
+class Block:
+    """Ordered bipartition of a ground set; ``left`` is a proper nonempty subset."""
+
+    ground: IndexSet
+    left: tuple[Label, ...]
+
+    def __post_init__(self):
+        left = tuple(self.left)
+        object.__setattr__(self, "left", left)
+        if not left or len(left) >= len(self.ground):
+            raise PreconditionError(f"left part must be a proper nonempty subset, got {left}")
+        prev = None
+        for lab in left:
+            if lab not in self.ground:
+                raise PreconditionError(f"label {lab} not in ground set {self.ground.elements}")
+            if prev is not None and prev >= lab:
+                raise PreconditionError(f"left part must be strictly ascending, got {left}")
+            prev = lab
+
+    @cached_property
+    def right(self) -> tuple[Label, ...]:
+        left = set(self.left)
+        return tuple(lab for lab in self.ground if lab not in left)
+
+    @cached_property
+    def pairs(self) -> tuple[Pair, ...]:
+        return tuple((i, j) for i in self.left for j in self.right)
+
+    @property
+    def pair_count(self) -> int:
+        return len(self.left) * len(self.right)
+
+    def transpose(self) -> "Block":
+        return Block(self.ground, self.right)
+
+
+def enumerate_blocks(ground: IndexSet) -> list[Block]:
+    """All 2^n - 2 blocks, left parts listed in binary subset order."""
+    labels = ground.elements
+    n = len(labels)
+    if n < 2:
+        raise PreconditionError(f"block enumeration needs at least 2 labels, got {labels}")
+    out = []
+    for mask in range(1, (1 << n) - 1):
+        left = tuple(labels[k] for k in range(n) if mask >> k & 1)
+        out.append(Block(ground, left))
+    return out
+
+
+@dataclass(frozen=True)
+class PairCountTable:
+    """Nonnegative counts indexed by 2-element subsets {i,j}, keyed as (i,j), i<j."""
+
+    ground: IndexSet
+    counts: Mapping[Pair, int]
+
+    def __post_init__(self):
+        counts = dict(self.counts)
+        object.__setattr__(self, "counts", counts)
+        for (i, j), c in counts.items():
+            if not (i < j and i in self.ground and j in self.ground):
+                raise PreconditionError(f"key ({i},{j}) is not an ascending pair within the ground set")
+            if not isinstance(c, int) or c < 0:
+                raise PreconditionError(f"count for ({i},{j}) must be a nonnegative integer, got {c!r}")
+
+    @classmethod
+    def from_monomial(cls, mono: Monomial) -> "PairCountTable":
+        counts: dict[Pair, int] = {}
+        for (i, j), e in mono.exps:
+            key = (i, j) if i < j else (j, i)
+            counts[key] = counts.get(key, 0) + e
+        return cls(mono.ground, counts)
+
+    @cached_property
+    def total(self) -> int:
+        return sum(self.counts.values())
+
+    def count(self, i: Label, j: Label) -> int:
+        key = (i, j) if i < j else (j, i)
+        return self.counts.get(key, 0)
+
+    def restricted_total(self, label: Label) -> int:
+        """Total count over 2-subsets avoiding ``label``."""
+        if label not in self.ground:
+            raise PreconditionError(f"label {label} not in ground set {self.ground.elements}")
+        touching = sum(c for (i, j), c in self.counts.items() if label in (i, j))
+        return self.total - touching
+
+
+def select_pivot(table: PairCountTable, g: int) -> Label:
+    """Smallest label whose removal keeps the remaining pair-count total large.
+
+    With n labels and total >= n(n-1)g - n + 2, some label z satisfies
+    restricted_total(z) >= (n-1)(n-2)g - n + 3; the smallest such z is
+    returned.
+    """
+    _require_g(g)
+    n = len(table.ground)
+    if n < 3:
+        raise PreconditionError(f"pivot selection needs at least 3 labels, got {n}")
+    required_total = n * (n - 1) * g - n + 2
+    if table.total < required_total:
+        raise PreconditionError(
+            f"pair-count total {table.total} below required {required_total} for n={n}, g={g}"
+        )
+    required_rest = (n - 1) * (n - 2) * g - n + 3
+    for z in table.ground:
+        if table.restricted_total(z) >= required_rest:
+            return z
+    raise RuntimeError("internal consistency failure: no qualifying pivot exists")
+
+
+def split_at(mono: Monomial, pivot: Label) -> tuple[Monomial, Monomial]:
+    """Factor a monomial as (touching, rest) across a pivot label.
+
+    ``touching`` collects every factor x[i,pivot] or x[pivot,j] and carries the
+    coefficient; ``rest`` has coefficient one.  Their product is ``mono``.
+    """
+    if pivot not in mono.ground:
+        raise PreconditionError(f"label {pivot} not in ground set {mono.ground.elements}")
+    touching = tuple(item for item in mono.exps if pivot in item[0])
+    rest = tuple(item for item in mono.exps if pivot not in item[0])
+    return (
+        Monomial(mono.ground, mono.coeff, touching),
+        Monomial(mono.ground, Fraction(1), rest),
+    )
+
+
+class BranchChoice(NamedTuple):
+    side: str  # "H" routes to the left part, "W" to the right part
+    degree_bound: int
+
+
+def branch_of_split(mono: Monomial, pivot: Label, left: Iterable[Label],
+                    right: Iterable[Label], g: int) -> BranchChoice:
+    """Route a base-variable monomial to one side of a bipartition.
+
+    ``mono`` must use variables x[pivot,j] only and (left, right) must
+    partition the ground set minus the pivot.  Whenever
+    deg >= n(n-1)g - n + 2 - 2g*h*w, at least one side carries enough degree:
+    the left total reaches g*h*(h+1) - h + 1 ("H") or the right total reaches
+    g*w*(w+1) - w + 1 ("W").  Ties prefer H.
+    """
+    _require_g(g)
+    ground = mono.ground
+    if pivot not in ground:
+        raise PreconditionError(f"label {pivot} not in ground set {ground.elements}")
+    left = tuple(left)
+    right = tuple(right)
+    if set(left) & set(right) or set(left) | set(right) != set(ground) - {pivot}:
+        raise PreconditionError("left and right must partition the ground set minus the pivot")
+    if not left or not right:
+        raise PreconditionError("both sides of the partition must be nonempty")
+    for (i, _), _e in mono.exps:
+        if i != pivot:
+            raise PreconditionError(f"expected a monomial in variables x[{pivot},j] only")
+    h, w = len(left), len(right)
+    n = len(ground)
+    required = n * (n - 1) * g - n + 2 - 2 * g * w * h
+    if mono.degree < required:
+        raise PreconditionError(
+            f"degree {mono.degree} below required {required} for n={n}, g={g}, h={h}, w={w}"
+        )
+    left_set = set(left)
+    left_degree = sum(e for (_, j), e in mono.exps if j in left_set)
+    h_bound = g * h * (h + 1) - h + 1
+    if left_degree >= h_bound:
+        return BranchChoice("H", h_bound)
+    w_bound = g * w * (w + 1) - w + 1
+    right_degree = mono.degree - left_degree
+    if right_degree < w_bound:
+        raise RuntimeError("internal consistency failure: neither side reaches its bound")
+    return BranchChoice("W", w_bound)
+
+
+def iter_compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
+    """All tuples of ``parts`` nonnegative integers summing to ``total``.
+
+    Deterministic order: first coordinate descending, then recursively.
+    """
+    if parts < 1 or total < 0:
+        raise PreconditionError(f"need parts >= 1 and total >= 0, got {parts}, {total}")
+    if parts == 1:
+        yield (total,)
+        return
+    for head in range(total, -1, -1):
+        for tail in iter_compositions(total - head, parts - 1):
+            yield (head,) + tail
+
+
+def sample_composition(total: int, parts: int, rng: random.Random) -> tuple[int, ...]:
+    """One composition drawn uniformly from all of them (stars and bars)."""
+    if parts < 1 or total < 0:
+        raise PreconditionError(f"need parts >= 1 and total >= 0, got {parts}, {total}")
+    if parts == 1:
+        return (total,)
+    slots = total + parts - 1
+    bars = sorted(rng.sample(range(slots), parts - 1))
+    out = []
+    prev = -1
+    for b in bars:
+        out.append(b - prev - 1)
+        prev = b
+    out.append(slots - prev - 1)
+    return tuple(out)
+
+
+def pivot_lemma_check(ground: IndexSet, g: int, samples: int = 0,
+                      seed: int = 0) -> tuple[int, list[tuple[int, ...]]]:
+    """Check pivot existence over tables of total exactly n(n-1)g - n + 2.
+
+    Runs over all compositions of the total into the 2-subset slots, or over
+    ``samples`` uniform draws when ``samples`` > 0.  Returns (checked,
+    failing compositions); the second entry should always be empty.
+    """
+    _require_g(g)
+    n = len(ground)
+    if n < 3:
+        raise PreconditionError(f"pivot check needs at least 3 labels, got {n}")
+    labels = ground.elements
+    keys = [(labels[a], labels[b]) for a in range(n) for b in range(a + 1, n)]
+    total = n * (n - 1) * g - n + 2
+    required_rest = (n - 1) * (n - 2) * g - n + 3
+    if samples > 0:
+        rng = random.Random(seed)
+        source: Iterable[tuple[int, ...]] = (
+            sample_composition(total, len(keys), rng) for _ in range(samples)
+        )
+    else:
+        source = iter_compositions(total, len(keys))
+    checked = 0
+    failures = []
+    for comp in source:
+        checked += 1
+        table = PairCountTable(ground, dict(zip(keys, comp)))
+        try:
+            z = select_pivot(table, g)
+        except (PreconditionError, RuntimeError):
+            failures.append(comp)
+            continue
+        if table.restricted_total(z) < required_rest:
+            failures.append(comp)
+    return checked, failures
+
+
+def split_lemma_check(ground: IndexSet, g: int) -> tuple[int, list[tuple[int, ...]]]:
+    """Check the two-sided degree dichotomy at the exact threshold.
+
+    For every bipartition size (h, w) of n-1 labels and every split (a, b)
+    with a + b = n(n-1)g - n + 2 - 2g*w*h, at least one of
+    a >= g*h*(h+1) - h + 1, b >= g*w*(w+1) - w + 1 must hold.  Returns
+    (checked, failing (h, w, a, b) tuples).
+    """
+    _require_g(g)
+    n = len(ground)
+    if n < 3:
+        raise PreconditionError(f"split check needs at least 3 labels, got {n}")
+    checked = 0
+    failures = []
+    for h in range(1, n - 1):
+        w = n - 1 - h
+        threshold = n * (n - 1) * g - n + 2 - 2 * g * w * h
+        h_bound = g * h * (h + 1) - h + 1
+        w_bound = g * w * (w + 1) - w + 1
+        for a in range(max(threshold, 0) + 1):
+            b = threshold - a
+            checked += 1
+            if a < h_bound and b < w_bound:
+                failures.append((h, w, a, b))
+    return checked, failures
