@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 from typing import Sequence
@@ -179,12 +180,28 @@ def poly_to_json(p: Polynomial) -> dict:
     }
 
 
+_JSON_COEFF = re.compile(r"-?\d+(/\d+)?")
+
+
+def _json_int(value, what: str) -> int:
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise MalformedCertificateError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def poly_from_json(obj, ground: IndexSet) -> Polynomial:
+    """Read a polynomial object; labels, exponents and coefficients are checked, never coerced."""
     try:
-        monomials = [
-            Monomial.make(ground, Fraction(term["coeff"]), {tuple(pair): e for pair, e in term["exps"]})
-            for term in obj["terms"]
-        ]
+        monomials = []
+        for term in obj["terms"]:
+            coeff = term["coeff"]
+            if not isinstance(coeff, str) or not _JSON_COEFF.fullmatch(coeff):
+                raise MalformedCertificateError(f"coefficient must be a string p or p/q, got {coeff!r}")
+            exps = tuple(
+                ((_json_int(i, "label"), _json_int(j, "label")), _json_int(e, "exponent"))
+                for (i, j), e in term["exps"]
+            )
+            monomials.append(Monomial(ground, Fraction(coeff), exps))
         return Polynomial.from_terms(ground, monomials)
     except MalformedCertificateError:
         raise
@@ -213,7 +230,7 @@ def certificate_from_json(obj) -> Certificate:
             raise MalformedCertificateError("certificate input must be a single monomial")
         entries = []
         for raw in obj["entries"]:
-            left = tuple(sorted(raw["left"]))
+            left = tuple(sorted(_json_int(lab, "label") for lab in raw["left"]))
             block = Block(ground, left)
             entries.append(CertificateEntry(block, poly_from_json(raw["cofactor"], ground)))
         return Certificate(ground, g, input_poly.terms[0], tuple(entries))

@@ -159,7 +159,12 @@ def _decompose_entries(mono: Monomial, g: int) -> list[tuple[Block, Polynomial]]
                 spare = tuple(item for item in p.exps if item[0][1] not in side_set)
                 sub_ground = IndexSet(tuple(sorted(side + (pivot,))))
                 selected = Monomial(sub_ground, p.coeff, chosen)
-                assert selected.degree >= choice.degree_bound
+                if selected.degree < choice.degree_bound:
+                    raise RuntimeError(
+                        "internal consistency failure: sub-monomial "
+                        f"{selected.coeff}*{selected.exps} over ground {sub_ground.elements} "
+                        f"with g={g} has degree {selected.degree}, below {choice.degree_bound}"
+                    )
                 remainder = Monomial(ground, Fraction(1), spare)
                 for inner_block, phi in _decompose_entries(selected, g):
                     merged, leftover = merge_blocks(outer_block, inner_block, ground, choice.side)

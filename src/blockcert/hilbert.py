@@ -1,15 +1,20 @@
 """Graded dimensions of the relation ring and its block-monomial ideal.
 
 Degree-d classes of the quotient ring form a space of dimension equal to the
-number of degree-d monomials in the n-1 base variables.  The ideal generated
-by the block monomials prod_{(i,j) in B} x[i,j]^(2g) is spanned in degree d
-by normal forms of monomial multiples of those generators; its dimension is
-computed as an exact integer matrix rank, with no floating point anywhere.
+number of degree-d monomials in the n-1 base variables x[b,j], b = min ground:
+the quotient is the polynomial ring in those variables.  So the degree-d slice
+of the ideal generated by the block monomials prod_{(i,j) in B} x[i,j]^(2g) is
+spanned by the normal form of each block monomial times every base monomial
+of the remaining degree.  A block and its transpose have the same normal form,
+since the exponents are even, so the 2^(n-1) - 1 blocks with b on the right
+give every generator.  The dimension is computed as an exact integer matrix
+rank, with no floating point anywhere.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -17,15 +22,9 @@ from typing import Iterable, Sequence
 
 from .combinatorics import _require_g, enumerate_blocks, iter_compositions
 from .errors import PreconditionError, SizeLimitError
-from .ring import (
-    IndexSet,
-    Polynomial,
-    _base_positions,
-    _expand_monomial,
-    normal_form,
-)
+from .ring import IndexSet, Monomial, Polynomial, _base_positions, normal_form
 
-SIZE_LIMIT = 100_000
+SIZE_LIMIT = 1_000_000  # rows x columns of one slice's matrix
 
 
 def dim_ring_graded(n: int, d: int) -> int:
@@ -40,8 +39,10 @@ def dim_ring_graded(n: int, d: int) -> int:
 class IntRowSpace:
     """Row space over the integers with exact, division-free reduction.
 
-    Stored rows form a reduced echelon basis: each has a unique pivot column,
-    is zero at every other pivot column, has gcd one and positive pivot.
+    Stored rows form an echelon basis: each has a distinct pivot column, its
+    first nonzero entry, is zero before it, has gcd one and positive pivot.
+    Rows are kept in ascending pivot order so that ``reduce`` clears one pivot
+    at a time; rank and membership need no back-reduction.
     """
 
     def __init__(self, ncols: int):
@@ -79,14 +80,8 @@ class IntRowSpace:
         pivot_col = next((c for c, x in enumerate(reduced) if x), None)
         if pivot_col is None:
             return False
-        reduced = self._normalize(reduced, pivot_col)
-        for k, basis_row in enumerate(self.rows):
-            if basis_row[pivot_col]:
-                a, b = reduced[pivot_col], basis_row[pivot_col]
-                updated = [x * a - y * b for x, y in zip(basis_row, reduced)]
-                self.rows[k] = self._normalize(updated, self.pivot_cols[k])
         at = next((k for k, c in enumerate(self.pivot_cols) if c > pivot_col), len(self.rows))
-        self.rows.insert(at, reduced)
+        self.rows.insert(at, self._normalize(reduced, pivot_col))
         self.pivot_cols.insert(at, pivot_col)
         return True
 
@@ -122,51 +117,48 @@ class BlockIdealSlice:
 
     @cached_property
     def _layout(self):
-        base, *_ = self.ground.elements
-        others, pos = _base_positions(self.ground, base)
-        columns = {comp: k for k, comp in enumerate(iter_compositions(self.degree, len(others)))}
-        return base, others, pos, columns
+        _, pos = _base_positions(self.ground, self.ground.min())
+        columns = {comp: k for k, comp in enumerate(iter_compositions(self.degree, len(pos)))}
+        return pos, columns
+
+    def _base_terms(self, p: Polynomial) -> list[tuple[tuple[int, ...], Fraction]]:
+        """(exponent vector, coefficient) of every term of p's normal form."""
+        pos, _ = self._layout
+        out = []
+        for t in normal_form(p).terms:
+            vec = [0] * len(pos)
+            for (_, j), e in t.exps:
+                vec[pos[j]] = e
+            out.append((tuple(vec), t.coeff))
+        return out
 
     @cached_property
     def _space(self) -> IntRowSpace:
-        base, others, pos, columns = self._layout
-        labels = self.ground.elements
-        all_pairs = [(i, j) for i in labels for j in labels if i != j]
-        blocks = enumerate_blocks(self.ground)
-        planned = 0
-        for block in blocks:
-            remaining = self.degree - 2 * self.g * block.pair_count
-            if remaining >= 0:
-                planned += math.comb(remaining + len(all_pairs) - 1, len(all_pairs) - 1)
-        if planned > SIZE_LIMIT or len(columns) > SIZE_LIMIT:
+        pos, columns = self._layout
+        width = len(pos)
+        blocks = [
+            (block, self.degree - 2 * self.g * block.pair_count)
+            for block in enumerate_blocks(self.ground)
+            if self.ground.min() in block.right and self.degree >= 2 * self.g * block.pair_count
+        ]
+        nrows = sum(math.comb(remaining + width - 1, width - 1) for _, remaining in blocks)
+        if nrows * len(columns) > SIZE_LIMIT:
             raise SizeLimitError(
-                f"spanning set of size {planned} exceeds the limit {SIZE_LIMIT}"
+                f"{nrows} rows x {len(columns)} columns exceeds the limit {SIZE_LIMIT}"
             )
         space = IntRowSpace(len(columns))
-        width = len(others)
-        for block in blocks:
-            remaining = self.degree - 2 * self.g * block.pair_count
-            if remaining < 0:
-                continue
-            block_exps = {pair: 2 * self.g for pair in block.pairs}
-            for comp in iter_compositions(remaining, len(all_pairs)):
+        for block, remaining in blocks:
+            block_mono = Monomial.make(self.ground, 1, dict.fromkeys(block.pairs, 2 * self.g))
+            # binomial expansion of a unit monomial: the coefficients are integers
+            generator = [(vec, int(c)) for vec, c in self._base_terms(block_mono.as_poly())]
+            for shift in iter_compositions(remaining, width):
                 if space.rank == len(columns):
                     return space  # already full
-                exps: dict = dict(block_exps)
-                for pair, e in zip(all_pairs, comp):
-                    if e:
-                        exps[pair] = exps.get(pair, 0) + e
-                dense: dict[tuple[int, ...], Fraction] = {}
-                _expand_monomial(Fraction(1), tuple(sorted(exps.items())), base, pos, width, dense)
-                space.add(self._vector_from_dense(dense))
+                row = [0] * len(columns)
+                for vec, c in generator:
+                    row[columns[tuple(map(operator.add, vec, shift))]] = c
+                space.add(row)
         return space
-
-    def _vector_from_dense(self, dense) -> list[int]:
-        _, _, _, columns = self._layout
-        row = [Fraction(0)] * len(columns)
-        for vec, c in dense.items():
-            row[columns[vec]] = c
-        return _integer_row(row)
 
     @property
     def dim(self) -> int:
@@ -180,14 +172,11 @@ class BlockIdealSlice:
             return True
         if not p.is_homogeneous() or p.degree != self.degree:
             raise PreconditionError(f"expected a homogeneous polynomial of degree {self.degree}")
-        base, others, pos, columns = self._layout
-        dense: dict[tuple[int, ...], Fraction] = {}
-        for t in normal_form(p).terms:
-            vec = [0] * len(others)
-            for (_, j), e in t.exps:
-                vec[pos[j]] = e
-            dense[tuple(vec)] = t.coeff
-        return self._space.contains(self._vector_from_dense(dense))
+        _, columns = self._layout
+        row = [Fraction(0)] * len(columns)
+        for vec, c in self._base_terms(p):
+            row[columns[vec]] = c
+        return self._space.contains(_integer_row(row))
 
 
 def block_ideal_slice(ground: IndexSet, g: int, d: int) -> BlockIdealSlice:

@@ -140,6 +140,19 @@ def test_malformed_certificate_json_rejected():
     with pytest.raises(MalformedCertificateError):
         certificate_from_json(bad)
 
+    # values outside the schema are rejected, never coerced into another claim
+    for field, value in (
+        ("exps", [[[1, 2], 4.9]]),
+        ("exps", [[[1, 2], True]]),
+        ("exps", [[[1.0, 2], 4]]),
+        ("coeff", 1.0),
+        ("exps", [[[1, 2], 1], [[1, 2], 3]]),
+    ):
+        bad = json.loads(json.dumps(good))
+        bad["input"]["terms"][0][field] = value
+        with pytest.raises(MalformedCertificateError):
+            certificate_from_json(bad)
+
 
 # -- subcommands -------------------------------------------------------------------
 

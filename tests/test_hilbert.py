@@ -23,6 +23,7 @@ from helpers import ordered_pairs, sample_composition, standard_ground
 
 X2 = IndexSet((1, 2))
 X3 = IndexSet((1, 2, 3))
+X4 = IndexSet((1, 2, 3, 4))
 
 
 # -- row space engine ---------------------------------------------------------
@@ -61,6 +62,11 @@ def test_int_row_space_matches_rational_rank():
                     work[r] = [a - factor * b for a, b in zip(work[r], work[rank])]
             rank += 1
         assert space.rank == rank
+        combination = [0] * ncols
+        for row in matrix:
+            weight = rng.randint(-3, 3)
+            combination = [c + weight * x for c, x in zip(combination, row)]
+        assert space.contains(combination)
 
 
 # -- dimensions ----------------------------------------------------------------
@@ -86,11 +92,17 @@ def test_quotient_vanishes_at_and_above_bound():
         bound = vanishing_bound(len(ground), g)
         for d in range(bound, bound + 3):
             assert dim_quotient_graded(ground, g, d) == 0
+    assert vanishing_bound(4, 2) == 22
+    for d in (22, 23):
+        assert dim_quotient_graded(X4, 2, d) == 0
 
 
 def test_quotient_positive_below_bound():
     assert dim_quotient_graded(X2, 3, 5) == 1
     assert dim_quotient_graded(X3, 2, 7) > 0
+    # the bound is sharp at four labels: the quotient survives one degree below it
+    assert dim_quotient_graded(X4, 2, 20) == 18
+    assert dim_quotient_graded(X4, 2, 21) == 6
 
 
 def test_scope_preconditions():
@@ -126,12 +138,12 @@ def test_graded_report_shape():
 
 def test_certificates_agree_with_row_space_membership():
     rng = random.Random(32)
-    pairs = ordered_pairs(X3)
-    for d in (11, 12):
-        slice_ = block_ideal_slice(X3, 2, d)
+    for ground, d in ((X3, 11), (X3, 12), (X4, 22)):
+        pairs = ordered_pairs(ground)
+        slice_ = block_ideal_slice(ground, 2, d)
         for _ in range(10):
             comp = sample_composition(d, len(pairs), rng)
-            mono = Monomial.make(X3, 1, dict(zip(pairs, comp)))
+            mono = Monomial.make(ground, 1, dict(zip(pairs, comp)))
             assert verify_certificate(decompose(mono, 2))
             assert slice_.contains(mono.as_poly())
 
