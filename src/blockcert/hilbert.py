@@ -55,14 +55,25 @@ class IntRowSpace:
         return len(self.rows)
 
     def reduce(self, row: Sequence[int]) -> list[int]:
-        """Eliminate every pivot column from ``row`` by cross-multiplication."""
+        """Clear pivot columns of ``row`` by cross-multiplication, left to right.
+
+        Stops at the first nonzero entry in a non-pivot column: every entry
+        before it is zero, so the row is independent of the basis and that
+        entry is its pivot.  The result is zero exactly when ``row`` lies in
+        the span.
+        """
         out = list(row)
         if len(out) != self.ncols:
             raise PreconditionError(f"row has {len(out)} columns, expected {self.ncols}")
+        start = 0
         for basis_row, col in zip(self.rows, self.pivot_cols):
+            if any(out[start:col]):
+                return out
             if out[col]:
+                # both rows are zero before col, so only the suffix changes
                 a, b = basis_row[col], out[col]
-                out = [x * a - y * b for x, y in zip(out, basis_row)]
+                out[col:] = [x * a - y * b for x, y in zip(out[col:], basis_row[col:])]
+            start = col + 1
         return out
 
     @staticmethod
@@ -91,10 +102,8 @@ class IntRowSpace:
 
 def _integer_row(values: Iterable[Fraction]) -> list[int]:
     values = list(values)
-    scale = 1
-    for v in values:
-        scale = scale * v.denominator // math.gcd(scale, v.denominator)
-    return [int(v * scale) for v in values]
+    scale = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (scale // v.denominator) for v in values]
 
 
 def _require_scope(ground: IndexSet, g: int, d: int) -> None:

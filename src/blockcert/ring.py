@@ -5,8 +5,9 @@ ground set.  The quotient imposes x[i,j] + x[j,i] = 0 and
 x[i,j] + x[j,k] + x[k,i] = 0.  Substituting x[i,j] -> x[b,j] - x[b,i] for the
 base label b = min(ground) kills both families of relations, so every class
 has a unique representative in the variables x[b,j] alone; ``normal_form``
-computes it.  Coefficients are exact rationals throughout and all values are
-immutable after construction.
+computes it.  Coefficients are exact rationals at the API and all values are
+immutable after construction; the expansion inside ``normal_form`` runs on
+integers.
 """
 
 from __future__ import annotations
@@ -309,17 +310,19 @@ def _base_positions(ground: IndexSet, base: Label) -> tuple[tuple[Label, ...], d
 
 
 def _expand_monomial(
-    coeff: Fraction,
+    coeff: int,
     exps: Exponents,
     base: Label,
     pos: dict[Label, int],
     width: int,
-    acc: dict[tuple[int, ...], Fraction],
+    acc: dict[tuple[int, ...], int],
 ) -> None:
     """Accumulate the base-variable expansion of one term into ``acc``.
 
     Keys of ``acc`` are dense exponent vectors over the non-base labels in
-    ascending order; entry k is the exponent of x[base, others[k]].
+    ascending order; entry k is the exponent of x[base, others[k]].  The
+    coefficient is an integer and so is every binomial and sign, so the whole
+    expansion is integer multiply-adds; callers scale rationals beforehand.
     """
     start = [0] * width
     negate = False
@@ -341,7 +344,7 @@ def _expand_monomial(
             (-math.comb(e, k) if (e - k) & 1 else math.comb(e, k), e - k, k)
             for k in range(e + 1)
         ]
-        nxt: dict[tuple[int, ...], Fraction] = {}
+        nxt: dict[tuple[int, ...], int] = {}
         for vec, c in local.items():
             base_vec = list(vec)
             for bc, ei, ej in expansion:
@@ -349,10 +352,10 @@ def _expand_monomial(
                 v[pi] += ei
                 v[pj] += ej
                 key = tuple(v)
-                nxt[key] = nxt.get(key, _Q0) + c * bc
+                nxt[key] = nxt.get(key, 0) + c * bc
         local = nxt
     for vec, c in local.items():
-        total = acc.get(vec, _Q0) + c
+        total = acc.get(vec, 0) + c
         if total:
             acc[vec] = total
         else:
@@ -360,11 +363,12 @@ def _expand_monomial(
 
 
 def _dense_to_poly(ground: IndexSet, base: Label, others: tuple[Label, ...],
-                   acc: Mapping[tuple[int, ...], Fraction]) -> Polynomial:
+                   acc: Mapping[tuple[int, ...], int], scale: int) -> Polynomial:
+    """The polynomial sum of c/scale * prod x[base, others[k]]^vec[k] over ``acc``."""
     mapping: dict[Exponents, Fraction] = {}
     for vec, c in acc.items():
         exps = tuple(((base, others[k]), e) for k, e in enumerate(vec) if e)
-        mapping[exps] = c
+        mapping[exps] = Fraction(c, scale)
     return Polynomial.from_map(ground, mapping)
 
 
@@ -377,23 +381,27 @@ def rewrite_to_base(mono: Monomial, base: Label) -> Polynomial:
     if base not in mono.ground:
         raise PreconditionError(f"base label {base} not in ground set {mono.ground.elements}")
     others, pos = _base_positions(mono.ground, base)
-    acc: dict[tuple[int, ...], Fraction] = {}
-    _expand_monomial(mono.coeff, mono.exps, base, pos, len(others), acc)
-    return _dense_to_poly(mono.ground, base, others, acc)
+    acc: dict[tuple[int, ...], int] = {}
+    _expand_monomial(mono.coeff.numerator, mono.exps, base, pos, len(others), acc)
+    return _dense_to_poly(mono.ground, base, others, acc, mono.coeff.denominator)
 
 
 def normal_form(p: Polynomial) -> Polynomial:
     """The canonical representative of p's class, in variables x[b,j], b = min ground.
 
     The result is zero exactly when p lies in the ideal generated by
-    x[i,j] + x[j,i] and x[i,j] + x[j,k] + x[k,i].
+    x[i,j] + x[j,i] and x[i,j] + x[j,k] + x[k,i].  Every term is scaled to an
+    integer by the lcm of the denominators, the expansion runs on integers, and
+    each output coefficient is divided by that lcm once.
     """
     base = p.ground.min()
     others, pos = _base_positions(p.ground, base)
-    acc: dict[tuple[int, ...], Fraction] = {}
+    scale = math.lcm(*(t.coeff.denominator for t in p.terms))
+    acc: dict[tuple[int, ...], int] = {}
     for t in p.terms:
-        _expand_monomial(t.coeff, t.exps, base, pos, len(others), acc)
-    return _dense_to_poly(p.ground, base, others, acc)
+        coeff = t.coeff.numerator * (scale // t.coeff.denominator)
+        _expand_monomial(coeff, t.exps, base, pos, len(others), acc)
+    return _dense_to_poly(p.ground, base, others, acc, scale)
 
 
 def eq_mod_relations(p: Polynomial, q: Polynomial) -> bool:

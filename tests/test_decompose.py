@@ -224,6 +224,18 @@ def test_verify_perturbed_coefficient_false():
     assert not verify_certificate(bad)
 
 
+def test_verify_false_after_small_cofactor_perturbation():
+    mono = Monomial.make(X3, Fraction(-3, 7), {(1, 2): 4, (2, 3): 4, (3, 1): 3})
+    cert = decompose(mono, 2)
+    assert verify_certificate(cert)
+    first, *rest = cert.entries
+    head, *tail = first.cofactor.terms
+    nudged = Monomial(X3, head.coeff + Fraction(1, 1009), head.exps)
+    bad_entry = CertificateEntry(first.block, Polynomial(X3, (nudged, *tail)))
+    bad = Certificate(X3, 2, mono, (bad_entry, *rest))
+    assert not verify_certificate(bad)
+
+
 def test_verify_exact_block_monomial():
     mono = Monomial.make(X2, 1, {(1, 2): 4})
     cert = Certificate(

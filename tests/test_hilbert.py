@@ -1,5 +1,6 @@
 """Exact graded dimensions and the integer row-space engine."""
 
+from fractions import Fraction
 import random
 
 import pytest
@@ -38,9 +39,25 @@ def test_int_row_space_basics():
     assert not space.contains([0, 1, 0])
 
 
+def _rational_rank(matrix, ncols):
+    """Plain rational Gaussian elimination, as an oracle independent of IntRowSpace."""
+    work = [[Fraction(x) for x in row] for row in matrix]
+    rank = 0
+    for col in range(ncols):
+        pivot = next((r for r in range(rank, len(work)) if work[r][col]), None)
+        if pivot is None:
+            continue
+        work[rank], work[pivot] = work[pivot], work[rank]
+        for r in range(len(work)):
+            if r != rank and work[r][col]:
+                factor = work[r][col] / work[rank][col]
+                work[r] = [a - factor * b for a, b in zip(work[r], work[rank])]
+        rank += 1
+    return rank
+
+
 def test_int_row_space_matches_rational_rank():
     rng = random.Random(31)
-    from fractions import Fraction
 
     for _ in range(40):
         nrows, ncols = rng.randint(1, 6), rng.randint(1, 5)
@@ -48,25 +65,43 @@ def test_int_row_space_matches_rational_rank():
         space = IntRowSpace(ncols)
         for row in matrix:
             space.add(row)
-        # plain rational Gaussian elimination as an independent oracle
-        work = [[Fraction(x) for x in row] for row in matrix]
-        rank = 0
-        for col in range(ncols):
-            pivot = next((r for r in range(rank, nrows) if work[r][col]), None)
-            if pivot is None:
-                continue
-            work[rank], work[pivot] = work[pivot], work[rank]
-            for r in range(nrows):
-                if r != rank and work[r][col]:
-                    factor = work[r][col] / work[rank][col]
-                    work[r] = [a - factor * b for a, b in zip(work[r], work[rank])]
-            rank += 1
-        assert space.rank == rank
+        assert space.rank == _rational_rank(matrix, ncols)
         combination = [0] * ncols
         for row in matrix:
             weight = rng.randint(-3, 3)
             combination = [c + weight * x for c, x in zip(combination, row)]
         assert space.contains(combination)
+
+    # rows whose leading entry falls strictly between two stored pivots are
+    # outside the span, and adding them keeps the rank exact
+    checked = 0
+    for _ in range(60):
+        ncols = rng.randint(4, 8)
+        matrix = []
+        space = IntRowSpace(ncols)
+        for _ in range(rng.randint(2, 4)):
+            zeros = rng.randrange(ncols)
+            row = [0] * zeros + [rng.randint(-4, 4) for _ in range(ncols - zeros)]
+            matrix.append(row)
+            space.add(row)
+        gaps = [
+            c
+            for lo, hi in zip(space.pivot_cols, space.pivot_cols[1:])
+            for c in range(lo + 1, hi)
+        ]
+        if not gaps:
+            continue
+        lead = rng.choice(gaps)
+        row = [0] * lead + [rng.choice([-3, -2, -1, 1, 2, 3])]
+        row += [rng.randint(-4, 4) for _ in range(ncols - lead - 1)]
+        assert not space.contains(row)
+        rank = space.rank
+        assert space.add(row)
+        matrix.append(row)
+        assert space.rank == rank + 1 == _rational_rank(matrix, ncols)
+        assert space.contains(row)
+        checked += 1
+    assert checked >= 10
 
 
 # -- dimensions ----------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Ring arithmetic, base-variable rewriting, and normal forms."""
 
 from fractions import Fraction
+import math
 import random
 
 import pytest
@@ -148,6 +149,17 @@ def test_rewrite_keeps_class():
             assert eval_at(q, point) == eval_at(t.as_poly(), point)
 
 
+def test_rewrite_rational_coefficient_exact():
+    m = Monomial.make(X3, Fraction(-7, 12), {(2, 3): 2, (3, 1): 1})
+    q = rewrite_to_base(m, 1)
+    assert q == P("7/12*x[1,3]^3-7/6*x[1,2]*x[1,3]^2+7/12*x[1,2]^2*x[1,3]")
+    point = {1: Fraction(2, 3), 2: Fraction(-5, 7), 3: Fraction(11, 2)}
+    for base in X3:
+        q = rewrite_to_base(m, base)
+        assert all(math.gcd(t.coeff.numerator, t.coeff.denominator) == 1 for t in q.terms)
+        assert eval_at(q, point) == eval_at(m.as_poly(), point)
+
+
 def test_rewrite_requires_member_base():
     with pytest.raises(PreconditionError):
         rewrite_to_base(Monomial.make(X3, 1, {(1, 2): 1}), 9)
@@ -216,6 +228,24 @@ def test_normal_form_agrees_with_evaluation_oracle():
         p = random_poly(rng, ground)
         nf = normal_form(p)
         point = random_point(rng, ground)
+        assert eval_at(nf, point) == eval_at(p, point)
+
+
+def test_normal_form_coprime_denominators_exact():
+    # denominators 7, 11, 5 and 77 share no common scale below 385, the
+    # x[1,2]*x[2,3] pair cancels exactly, and the 15/77 term clears the
+    # x[1,2]*x[1,3] coefficient of the normal form to zero
+    p = P(
+        "1/7*x[2,3]^2+1/11*x[2,3]*x[3,1]+13/5*x[3,1]^2"
+        "+3/4*x[1,2]*x[2,3]+3/4*x[2,1]*x[2,3]+15/77*x[1,2]*x[1,3]"
+    )
+    nf = normal_form(p)
+    assert nf == P("1/7*x[1,2]^2+1021/385*x[1,3]^2")
+    assert all(t.coeff != 0 for t in nf.terms)
+    assert all(math.gcd(t.coeff.numerator, t.coeff.denominator) == 1 for t in nf.terms)
+    rng = random.Random(16)
+    for _ in range(5):
+        point = random_point(rng, X3)
         assert eval_at(nf, point) == eval_at(p, point)
 
 
