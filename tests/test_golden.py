@@ -1,19 +1,22 @@
 """Golden corpus: certificates stay byte-identical across kernel changes.
 
-``decompose`` promises a deterministic certificate for each input.  This test
-pins the canonical JSON of 40 certificates at the vanishing bound (n = 3 and
-4, g = 2 and 3) to one sha256, so any change to the arithmetic underneath
-that alters a single coefficient, term order or entry order fails here.
+``decompose`` promises a deterministic certificate for each input.  The first
+test pins the canonical JSON of 40 certificates at the vanishing bound (n = 3
+and 4, g = 2 and 3) to one sha256, so any change to the arithmetic underneath
+that alters a single coefficient, term order or entry order fails here.  The
+second pins what the first leaves out: two labels, through both ``decompose``
+and ``base_certificate``, and degrees one to three above the bound.
 """
 
 import hashlib
 import json
 import random
 
-from blockcert import certificate_to_json, decompose, vanishing_bound
+from blockcert import base_certificate, certificate_to_json, decompose, vanishing_bound
 from helpers import random_monomial, standard_ground
 
 GOLDEN_SHA256 = "0048e40a583b16b4e3fcecc96be037106736719d584778d752adeb33507ec5c9"
+ABOVE_BOUND_SHA256 = "4bb0de4dacbc798c66b72a1939dfd65de8f7fc05932d00df8cd579291dc2f439"
 
 
 def golden_inputs():
@@ -24,12 +27,37 @@ def golden_inputs():
                 yield random_monomial(rng, standard_ground(n), vanishing_bound(n, g)), g
 
 
-def test_golden_certificates_are_byte_identical():
+def above_bound_inputs():
+    rng = random.Random(20150203)
+    for g in (2, 3):
+        bound = vanishing_bound(2, g)
+        for d in range(bound, bound + 4):
+            yield decompose, random_monomial(rng, standard_ground(2), d), g
+            yield base_certificate, random_monomial(rng, standard_ground(2), d), g
+    for n, per_degree in ((3, 3), (4, 2)):
+        for g in (2, 3):
+            for offset in (1, 2, 3):
+                for _ in range(per_degree):
+                    yield decompose, random_monomial(rng, standard_ground(n), vanishing_bound(n, g) + offset), g
+
+
+def corpus_digest(certificates) -> tuple[int, str]:
     digest = hashlib.sha256()
     count = 0
-    for mono, g in golden_inputs():
-        text = json.dumps(certificate_to_json(decompose(mono, g)), sort_keys=True, separators=(",", ":"))
+    for cert in certificates:
+        text = json.dumps(certificate_to_json(cert), sort_keys=True, separators=(",", ":"))
         digest.update(text.encode() + b"\n")
         count += 1
+    return count, digest.hexdigest()
+
+
+def test_golden_certificates_are_byte_identical():
+    count, hexdigest = corpus_digest(decompose(mono, g) for mono, g in golden_inputs())
     assert count == 40
-    assert digest.hexdigest() == GOLDEN_SHA256
+    assert hexdigest == GOLDEN_SHA256
+
+
+def test_golden_two_labels_and_above_bound_are_byte_identical():
+    count, hexdigest = corpus_digest(build(mono, g) for build, mono, g in above_bound_inputs())
+    assert count == 46
+    assert hexdigest == ABOVE_BOUND_SHA256
