@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
 
 from .combinatorics import (
     Block,
@@ -25,10 +24,12 @@ from .errors import MalformedCertificateError, PreconditionError
 from .ring import (
     Exponents,
     IndexSet,
+    Label,
     Monomial,
     Pair,
     Polynomial,
     _Q0,
+    _merge_exps,
     eq_mod_relations,
     rewrite_to_base,
 )
@@ -73,7 +74,10 @@ class Certificate:
             seen.add(entry.block.left)
 
 
-def _base_entry(mono: Monomial, g: int) -> tuple[Block, Polynomial]:
+Entries = dict[tuple[Label, ...], dict[Exponents, Fraction]]  # left part -> cofactor terms
+
+
+def _base_entries(mono: Monomial, g: int) -> Entries:
     """Closed form over two labels {u,v}: x[u,v]^a * x[v,u]^b with a+b >= 2g
     becomes coeff * (-1)^b * x[u,v]^(a+b-2g) on the block {u} x {v}."""
     ground = mono.ground
@@ -87,14 +91,22 @@ def _base_entry(mono: Monomial, g: int) -> tuple[Block, Polynomial]:
     coeff = -mono.coeff if b & 1 else mono.coeff
     residual = a + b - 2 * g
     exps: Exponents = (((u, v), residual),) if residual else ()
-    return Block(ground, (u,)), Monomial(ground, coeff, exps).as_poly()
+    return {(u,): {exps: coeff}}
+
+
+def _certificate(mono: Monomial, g: int, entries: Entries) -> Certificate:
+    """The certificate of ``mono`` with its entries sorted by left part."""
+    ground = mono.ground
+    return Certificate(ground, g, mono, tuple(
+        CertificateEntry(Block(ground, left), Polynomial.from_map(ground, entries[left]))
+        for left in sorted(entries)
+    ))
 
 
 def base_certificate(mono: Monomial, g: int) -> Certificate:
     """The exact closed-form certificate for a two-label ground set."""
     _require_g(g)
-    block, cofactor = _base_entry(mono, g)
-    return Certificate(mono.ground, g, mono, (CertificateEntry(block, cofactor),))
+    return _certificate(mono, g, _base_entries(mono, g))
 
 
 def merge_blocks(outer: Block, inner: Block, ground: IndexSet,
@@ -135,29 +147,29 @@ def merge_blocks(outer: Block, inner: Block, ground: IndexSet,
     return merged, leftover
 
 
-def _decompose_entries(mono: Monomial, g: int) -> list[tuple[Block, Polynomial]]:
+def _decompose_entries(mono: Monomial, g: int) -> Entries:
+    """Nonzero certificate entries of ``mono``, with terms over its ground set."""
     ground = mono.ground
-    n = len(ground)
-    if n == 2:
-        return [_base_entry(mono, g)]
+    if len(ground) == 2:
+        return _base_entries(mono, g)
 
     pivot = select_pivot(PairCountTable.from_monomial(mono), g)
     touching, rest = split_at(mono, pivot)
-    inner_entries = _decompose_entries(rest.with_ground(ground.without(pivot)), g)
-
+    outer_ground = ground.without(pivot)
     first = ground.min()
-    acc: dict[tuple[int, ...], dict[Exponents, Fraction]] = {}
-    for outer_block, theta in inner_entries:
+    acc: Entries = {}
+    for outer_left, theta in _decompose_entries(rest.with_ground(outer_ground), g).items():
+        outer_block = Block(outer_ground, outer_left)
         left, right = outer_block.left, outer_block.right
-        for m in theta.terms:
-            rewritten = rewrite_to_base(touching * m.with_ground(ground), pivot)
-            for p in rewritten.terms:
+        sub_grounds = {"H": IndexSet(left).adjoin(pivot), "W": IndexSet(right).adjoin(pivot)}
+        for exps, coeff in theta.items():
+            lifted = Monomial(ground, touching.coeff * coeff, _merge_exps(touching.exps, exps))
+            for p in rewrite_to_base(lifted, pivot).terms:
                 choice = branch_of_split(p, pivot, left, right, g)
-                side = left if choice.side == "H" else right
-                side_set = set(side)
-                chosen = tuple(item for item in p.exps if item[0][1] in side_set)
-                spare = tuple(item for item in p.exps if item[0][1] not in side_set)
-                sub_ground = IndexSet(tuple(sorted(side + (pivot,))))
+                sub_ground = sub_grounds[choice.side]
+                # every variable is x[pivot,j] with j != pivot, so j in sub_ground means j on the side
+                chosen = tuple(item for item in p.exps if item[0][1] in sub_ground)
+                spare = tuple(item for item in p.exps if item[0][1] not in sub_ground)
                 selected = Monomial(sub_ground, p.coeff, chosen)
                 if selected.degree < choice.degree_bound:
                     raise RuntimeError(
@@ -165,27 +177,21 @@ def _decompose_entries(mono: Monomial, g: int) -> list[tuple[Block, Polynomial]]
                         f"{selected.coeff}*{selected.exps} over ground {sub_ground.elements} "
                         f"with g={g} has degree {selected.degree}, below {choice.degree_bound}"
                     )
-                remainder = Monomial(ground, Fraction(1), spare)
-                for inner_block, phi in _decompose_entries(selected, g):
+                for inner_left, phi in _decompose_entries(selected, g).items():
+                    inner_block = Block(sub_ground, inner_left)
                     merged, leftover = merge_blocks(outer_block, inner_block, ground, choice.side)
                     if first in merged.left:
                         merged = merged.transpose()
-                    extra = remainder * Monomial.make(ground, 1, {pair: 2 * g for pair in leftover})
+                    extra = _merge_exps(spare, tuple((pair, 2 * g) for pair in leftover))
                     bucket = acc.setdefault(merged.left, {})
-                    for t in phi.terms:
-                        term = t.with_ground(ground) * extra
-                        c = bucket.get(term.exps, _Q0) + term.coeff
-                        if c:
-                            bucket[term.exps] = c
+                    for t_exps, c in phi.items():
+                        key = _merge_exps(t_exps, extra)
+                        total = bucket.get(key, _Q0) + c
+                        if total:
+                            bucket[key] = total
                         else:
-                            bucket.pop(term.exps, None)
-
-    entries = []
-    for left_key in sorted(acc):
-        cofactor = Polynomial.from_map(ground, acc[left_key])
-        if not cofactor.is_zero:
-            entries.append((Block(ground, left_key), cofactor))
-    return entries
+                            del bucket[key]
+    return {left: bucket for left, bucket in acc.items() if bucket}
 
 
 def decompose(mono: Monomial, g: int) -> Certificate:
@@ -206,11 +212,7 @@ def decompose(mono: Monomial, g: int) -> Certificate:
         raise PreconditionError(
             f"degree {mono.degree} below the vanishing bound {bound} for n={n}, g={g}"
         )
-    entries = _decompose_entries(mono, g)
-    return Certificate(
-        mono.ground, g, mono,
-        tuple(CertificateEntry(block, cofactor) for block, cofactor in entries),
-    )
+    return _certificate(mono, g, _decompose_entries(mono, g))
 
 
 def verify_certificate(cert: Certificate) -> bool:
@@ -229,9 +231,9 @@ def verify_certificate(cert: Certificate) -> bool:
         cofactor = entry.cofactor
         if cofactor.is_zero or any(t.degree != target for t in cofactor.terms):
             return False
-        block_mono = Monomial.make(cert.ground, 1, {pair: two_g for pair in entry.block.pairs})
+        block_exps = tuple((pair, two_g) for pair in entry.block.pairs)
         for t in cofactor.terms:
-            term = t * block_mono
-            acc[term.exps] = acc.get(term.exps, _Q0) + term.coeff
+            key = _merge_exps(t.exps, block_exps)
+            acc[key] = acc.get(key, _Q0) + t.coeff
     total = Polynomial.from_map(cert.ground, acc)
     return eq_mod_relations(zeta.as_poly(), total)

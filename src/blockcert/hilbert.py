@@ -22,7 +22,7 @@ from typing import Iterable, Sequence
 
 from .combinatorics import _require_g, enumerate_blocks, iter_compositions
 from .errors import PreconditionError, SizeLimitError
-from .ring import IndexSet, Monomial, Polynomial, _base_positions, normal_form
+from .ring import IndexSet, Polynomial, _base_positions, _expand_monomial, normal_form
 
 SIZE_LIMIT = 1_000_000  # rows x columns of one slice's matrix
 
@@ -130,17 +130,6 @@ class BlockIdealSlice:
         columns = {comp: k for k, comp in enumerate(iter_compositions(self.degree, len(pos)))}
         return pos, columns
 
-    def _base_terms(self, p: Polynomial) -> list[tuple[tuple[int, ...], Fraction]]:
-        """(exponent vector, coefficient) of every term of p's normal form."""
-        pos, _ = self._layout
-        out = []
-        for t in normal_form(p).terms:
-            vec = [0] * len(pos)
-            for (_, j), e in t.exps:
-                vec[pos[j]] = e
-            out.append((tuple(vec), t.coeff))
-        return out
-
     @cached_property
     def _space(self) -> IntRowSpace:
         pos, columns = self._layout
@@ -157,14 +146,14 @@ class BlockIdealSlice:
             )
         space = IntRowSpace(len(columns))
         for block, remaining in blocks:
-            block_mono = Monomial.make(self.ground, 1, dict.fromkeys(block.pairs, 2 * self.g))
-            # binomial expansion of a unit monomial: the coefficients are integers
-            generator = [(vec, int(c)) for vec, c in self._base_terms(block_mono.as_poly())]
+            generator: dict[tuple[int, ...], int] = {}
+            _expand_monomial(1, tuple((pair, 2 * self.g) for pair in block.pairs),
+                             self.ground.min(), pos, width, generator)
             for shift in iter_compositions(remaining, width):
                 if space.rank == len(columns):
                     return space  # already full
                 row = [0] * len(columns)
-                for vec, c in generator:
+                for vec, c in generator.items():
                     row[columns[tuple(map(operator.add, vec, shift))]] = c
                 space.add(row)
         return space
@@ -181,10 +170,13 @@ class BlockIdealSlice:
             return True
         if not p.is_homogeneous() or p.degree != self.degree:
             raise PreconditionError(f"expected a homogeneous polynomial of degree {self.degree}")
-        _, columns = self._layout
+        pos, columns = self._layout
         row = [Fraction(0)] * len(columns)
-        for vec, c in self._base_terms(p):
-            row[columns[vec]] = c
+        for t in normal_form(p).terms:
+            vec = [0] * len(pos)
+            for (_, j), e in t.exps:
+                vec[pos[j]] = e
+            row[columns[tuple(vec)]] = t.coeff
         return self._space.contains(_integer_row(row))
 
 

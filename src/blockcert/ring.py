@@ -300,9 +300,6 @@ class Polynomial:
                 square = square * square
         return result
 
-    def with_ground(self, ground: IndexSet) -> "Polynomial":
-        return Polynomial.from_map(ground, {t.exps: t.coeff for t in self.terms})
-
 
 def _base_positions(ground: IndexSet, base: Label) -> tuple[tuple[Label, ...], dict[Label, int]]:
     others = tuple(lab for lab in ground if lab != base)
@@ -372,6 +369,22 @@ def _dense_to_poly(ground: IndexSet, base: Label, others: tuple[Label, ...],
     return Polynomial.from_map(ground, mapping)
 
 
+def _to_base(ground: IndexSet, terms: tuple[Monomial, ...], base: Label) -> Polynomial:
+    """The sum of ``terms`` in the variables x[base,j] only.
+
+    Every term is scaled to an integer by the lcm of the denominators, the
+    expansion runs on integers, and each output coefficient is divided by that
+    lcm once.
+    """
+    others, pos = _base_positions(ground, base)
+    scale = math.lcm(*(t.coeff.denominator for t in terms))
+    acc: dict[tuple[int, ...], int] = {}
+    for t in terms:
+        coeff = t.coeff.numerator * (scale // t.coeff.denominator)
+        _expand_monomial(coeff, t.exps, base, pos, len(others), acc)
+    return _dense_to_poly(ground, base, others, acc, scale)
+
+
 def rewrite_to_base(mono: Monomial, base: Label) -> Polynomial:
     """Rewrite one term, modulo the relations, in the variables x[base,j] only.
 
@@ -380,28 +393,16 @@ def rewrite_to_base(mono: Monomial, base: Label) -> Polynomial:
     """
     if base not in mono.ground:
         raise PreconditionError(f"base label {base} not in ground set {mono.ground.elements}")
-    others, pos = _base_positions(mono.ground, base)
-    acc: dict[tuple[int, ...], int] = {}
-    _expand_monomial(mono.coeff.numerator, mono.exps, base, pos, len(others), acc)
-    return _dense_to_poly(mono.ground, base, others, acc, mono.coeff.denominator)
+    return _to_base(mono.ground, (mono,), base)
 
 
 def normal_form(p: Polynomial) -> Polynomial:
     """The canonical representative of p's class, in variables x[b,j], b = min ground.
 
     The result is zero exactly when p lies in the ideal generated by
-    x[i,j] + x[j,i] and x[i,j] + x[j,k] + x[k,i].  Every term is scaled to an
-    integer by the lcm of the denominators, the expansion runs on integers, and
-    each output coefficient is divided by that lcm once.
+    x[i,j] + x[j,i] and x[i,j] + x[j,k] + x[k,i].
     """
-    base = p.ground.min()
-    others, pos = _base_positions(p.ground, base)
-    scale = math.lcm(*(t.coeff.denominator for t in p.terms))
-    acc: dict[tuple[int, ...], int] = {}
-    for t in p.terms:
-        coeff = t.coeff.numerator * (scale // t.coeff.denominator)
-        _expand_monomial(coeff, t.exps, base, pos, len(others), acc)
-    return _dense_to_poly(p.ground, base, others, acc, scale)
+    return _to_base(p.ground, p.terms, p.ground.min())
 
 
 def eq_mod_relations(p: Polynomial, q: Polynomial) -> bool:
