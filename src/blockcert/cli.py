@@ -22,14 +22,8 @@ import sys
 from fractions import Fraction
 from typing import Sequence
 
-from .combinatorics import Block, enumerate_blocks, pivot_lemma_check, split_lemma_check
-from .decompose import (
-    Certificate,
-    CertificateEntry,
-    decompose,
-    vanishing_bound,
-    verify_certificate,
-)
+from .combinatorics import Block, enumerate_blocks, pivot_lemma_check, split_lemma_check, vanishing_bound
+from .decompose import Certificate, CertificateEntry, decompose, verify_certificate
 from .errors import MalformedCertificateError, ParseError, PreconditionError
 from .hilbert import GradedReport, graded_report
 from .ring import IndexSet, Monomial, Polynomial, eq_mod_relations, normal_form
@@ -189,17 +183,26 @@ def _json_int(value, what: str) -> int:
     return value
 
 
+def _json_fields(obj, keys: tuple[str, ...], what: str) -> list:
+    """The values of ``keys`` in a JSON object that has exactly those keys."""
+    if not isinstance(obj, dict) or obj.keys() != set(keys):
+        found = sorted(obj) if isinstance(obj, dict) else type(obj).__name__
+        raise MalformedCertificateError(f"{what} must be an object with keys {list(keys)}, got {found}")
+    return [obj[key] for key in keys]
+
+
 def poly_from_json(obj, ground: IndexSet) -> Polynomial:
-    """Read a polynomial object; labels, exponents and coefficients are checked, never coerced."""
+    """Read a polynomial object; keys, labels, exponents and coefficients are checked, never coerced."""
     try:
         monomials = []
-        for term in obj["terms"]:
-            coeff = term["coeff"]
+        (terms,) = _json_fields(obj, ("terms",), "polynomial")
+        for term in terms:
+            coeff, raw_exps = _json_fields(term, ("coeff", "exps"), "term")
             if not isinstance(coeff, str) or not _JSON_COEFF.fullmatch(coeff):
                 raise MalformedCertificateError(f"coefficient must be a string p or p/q, got {coeff!r}")
             exps = tuple(
                 ((_json_int(i, "label"), _json_int(j, "label")), _json_int(e, "exponent"))
-                for (i, j), e in term["exps"]
+                for (i, j), e in raw_exps
             )
             monomials.append(Monomial(ground, Fraction(coeff), exps))
         return Polynomial.from_terms(ground, monomials)
@@ -223,16 +226,17 @@ def certificate_to_json(cert: Certificate) -> dict:
 
 def certificate_from_json(obj) -> Certificate:
     try:
-        ground = IndexSet(tuple(obj["ground"]))
-        g = obj["g"]
-        input_poly = poly_from_json(obj["input"], ground)
+        labels, g, raw_input, raw_entries = _json_fields(
+            obj, ("ground", "g", "input", "entries"), "certificate")
+        ground = IndexSet(tuple(labels))
+        input_poly = poly_from_json(raw_input, ground)
         if len(input_poly.terms) != 1:
             raise MalformedCertificateError("certificate input must be a single monomial")
         entries = []
-        for raw in obj["entries"]:
-            left = tuple(sorted(_json_int(lab, "label") for lab in raw["left"]))
-            block = Block(ground, left)
-            entries.append(CertificateEntry(block, poly_from_json(raw["cofactor"], ground)))
+        for raw in raw_entries:
+            raw_left, raw_cofactor = _json_fields(raw, ("left", "cofactor"), "entry")
+            left = tuple(sorted(_json_int(lab, "label") for lab in raw_left))
+            entries.append(CertificateEntry(Block(ground, left), poly_from_json(raw_cofactor, ground)))
         return Certificate(ground, g, input_poly.terms[0], tuple(entries))
     except MalformedCertificateError:
         raise

@@ -24,6 +24,14 @@ def _require_g(g: int) -> None:
         raise PreconditionError(f"parameter g must be an integer >= 2, got {g!r}")
 
 
+def vanishing_bound(n: int, g: int) -> int:
+    """Degree threshold n(n-1)g - n + 2 above which every class decomposes."""
+    _require_g(g)
+    if not isinstance(n, int) or n < 2:
+        raise PreconditionError(f"need at least 2 labels, got n={n!r}")
+    return n * (n - 1) * g - n + 2
+
+
 @dataclass(frozen=True)
 class Block:
     """Ordered bipartition of a ground set; ``left`` is a proper nonempty subset."""
@@ -125,12 +133,12 @@ def select_pivot(table: PairCountTable, g: int) -> Label:
     n = len(table.ground)
     if n < 3:
         raise PreconditionError(f"pivot selection needs at least 3 labels, got {n}")
-    required_total = n * (n - 1) * g - n + 2
+    required_total = vanishing_bound(n, g)
     if table.total < required_total:
         raise PreconditionError(
             f"pair-count total {table.total} below required {required_total} for n={n}, g={g}"
         )
-    required_rest = (n - 1) * (n - 2) * g - n + 3
+    required_rest = vanishing_bound(n - 1, g)
     for z in table.ground:
         if table.restricted_total(z) >= required_rest:
             return z
@@ -183,17 +191,17 @@ def branch_of_split(mono: Monomial, pivot: Label, left: Iterable[Label],
             raise PreconditionError(f"expected a monomial in variables x[{pivot},j] only")
     h, w = len(left), len(right)
     n = len(ground)
-    required = n * (n - 1) * g - n + 2 - 2 * g * w * h
+    required = vanishing_bound(n, g) - 2 * g * w * h
     if mono.degree < required:
         raise PreconditionError(
             f"degree {mono.degree} below required {required} for n={n}, g={g}, h={h}, w={w}"
         )
     left_set = set(left)
     left_degree = sum(e for (_, j), e in mono.exps if j in left_set)
-    h_bound = g * h * (h + 1) - h + 1
+    h_bound = vanishing_bound(h + 1, g)
     if left_degree >= h_bound:
         return BranchChoice("H", h_bound)
-    w_bound = g * w * (w + 1) - w + 1
+    w_bound = vanishing_bound(w + 1, g)
     right_degree = mono.degree - left_degree
     if right_degree < w_bound:
         raise RuntimeError("internal consistency failure: neither side reaches its bound")
@@ -246,8 +254,8 @@ def pivot_lemma_check(ground: IndexSet, g: int, samples: int = 0,
         raise PreconditionError(f"pivot check needs at least 3 labels, got {n}")
     labels = ground.elements
     keys = [(labels[a], labels[b]) for a in range(n) for b in range(a + 1, n)]
-    total = n * (n - 1) * g - n + 2
-    required_rest = (n - 1) * (n - 2) * g - n + 3
+    total = vanishing_bound(n, g)
+    required_rest = vanishing_bound(n - 1, g)
     if samples > 0:
         rng = random.Random(seed)
         source: Iterable[tuple[int, ...]] = (
@@ -286,9 +294,9 @@ def split_lemma_check(ground: IndexSet, g: int) -> tuple[int, list[tuple[int, ..
     failures = []
     for h in range(1, n - 1):
         w = n - 1 - h
-        threshold = n * (n - 1) * g - n + 2 - 2 * g * w * h
-        h_bound = g * h * (h + 1) - h + 1
-        w_bound = g * w * (w + 1) - w + 1
+        threshold = vanishing_bound(n, g) - 2 * g * w * h
+        h_bound = vanishing_bound(h + 1, g)
+        w_bound = vanishing_bound(w + 1, g)
         for a in range(max(threshold, 0) + 1):
             b = threshold - a
             checked += 1

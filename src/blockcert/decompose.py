@@ -19,6 +19,7 @@ from .combinatorics import (
     branch_of_split,
     select_pivot,
     split_at,
+    vanishing_bound,
 )
 from .errors import MalformedCertificateError, PreconditionError
 from .ring import (
@@ -33,14 +34,6 @@ from .ring import (
     eq_mod_relations,
     rewrite_to_base,
 )
-
-
-def vanishing_bound(n: int, g: int) -> int:
-    """Degree threshold n(n-1)g - n + 2 above which every class decomposes."""
-    _require_g(g)
-    if not isinstance(n, int) or n < 2:
-        raise PreconditionError(f"need at least 2 labels, got n={n!r}")
-    return n * (n - 1) * g - n + 2
 
 
 @dataclass(frozen=True)
@@ -205,7 +198,6 @@ def decompose(mono: Monomial, g: int) -> Certificate:
     """
     if not isinstance(mono, Monomial):
         raise PreconditionError(f"decompose expects a monomial, got {type(mono).__name__}")
-    _require_g(g)
     n = len(mono.ground)
     bound = vanishing_bound(n, g)
     if mono.degree < bound:

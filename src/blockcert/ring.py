@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping
 
-from .errors import GroundMismatchError, PreconditionError
+from .errors import GroundMismatchError, PreconditionError, SizeLimitError
 
 Label = int
 Pair = tuple[Label, Label]
@@ -26,6 +26,13 @@ Exponents = tuple[tuple[Pair, int], ...]
 
 _Q0 = Fraction(0)
 _Q1 = Fraction(1)
+
+# Cap on degree x C(degree + w - 1, w - 1) for one term over w base variables:
+# the number of base monomials its expansion can reach, times the bit growth
+# of its binomial coefficients.  One term of degree 57 over 5 labels (the
+# vanishing bound for g = 3) measures 1.95e6; x[2,3]^9999 measures 1e8 and
+# takes seconds.
+EXPANSION_LIMIT = 10_000_000
 
 
 class _MinusInfinity:
@@ -374,14 +381,23 @@ def _to_base(ground: IndexSet, terms: tuple[Monomial, ...], base: Label) -> Poly
 
     Every term is scaled to an integer by the lcm of the denominators, the
     expansion runs on integers, and each output coefficient is divided by that
-    lcm once.
+    lcm once.  Raises SizeLimitError before expanding anything when one term
+    exceeds EXPANSION_LIMIT.
     """
     others, pos = _base_positions(ground, base)
+    width = len(others)
+    for t in terms:
+        size = t.degree * math.comb(t.degree + width - 1, width - 1)
+        if size > EXPANSION_LIMIT:
+            raise SizeLimitError(
+                f"expanding a term of degree {t.degree} over {width} base variables measures "
+                f"{size}, above the limit {EXPANSION_LIMIT}"
+            )
     scale = math.lcm(*(t.coeff.denominator for t in terms))
     acc: dict[tuple[int, ...], int] = {}
     for t in terms:
         coeff = t.coeff.numerator * (scale // t.coeff.denominator)
-        _expand_monomial(coeff, t.exps, base, pos, len(others), acc)
+        _expand_monomial(coeff, t.exps, base, pos, width, acc)
     return _dense_to_poly(ground, base, others, acc, scale)
 
 

@@ -3,6 +3,7 @@
 from fractions import Fraction
 import json
 import random
+import time
 
 import pytest
 
@@ -153,6 +154,20 @@ def test_malformed_certificate_json_rejected():
         with pytest.raises(MalformedCertificateError):
             certificate_from_json(bad)
 
+    # keys outside the schema are rejected at every level, never ignored
+    for where, key in (("certificate", "bogus"), ("entry", "extra"),
+                       ("polynomial", "extra"), ("term", "note")):
+        bad = json.loads(json.dumps(good))
+        target = {
+            "certificate": bad,
+            "entry": bad["entries"][0],
+            "polynomial": bad["entries"][0]["cofactor"],
+            "term": bad["entries"][0]["cofactor"]["terms"][0],
+        }[where]
+        target[key] = 0
+        with pytest.raises(MalformedCertificateError, match=f"{where} must be an object"):
+            certificate_from_json(bad)
+
 
 # -- subcommands -------------------------------------------------------------------
 
@@ -258,6 +273,11 @@ def test_exit_codes_for_errors(capsys):
     # multi-term input where a monomial is required -> 3
     code, _, err = run_cli(capsys, "decompose", "--ground", "1,2", "--g", "2", "x[1,2]^4+x[2,1]^4")
     assert code == 3 and "single monomial" in err
+    # expansion budget -> 3, checked before any term is expanded
+    start = time.perf_counter()
+    code, _, err = run_cli(capsys, "nf", "--ground", "1,2,3", "x[1,2]^100000000*x[2,3]^100000000")
+    assert code == 3 and "above the limit" in err
+    assert time.perf_counter() - start < 5
 
 
 def test_cmd_verify_reads_stdin(capsys, monkeypatch):

@@ -13,6 +13,7 @@ from blockcert import (
     Monomial,
     Polynomial,
     PreconditionError,
+    SizeLimitError,
     eq_mod_relations,
     normal_form,
     parse_poly,
@@ -163,6 +164,19 @@ def test_rewrite_rational_coefficient_exact():
 def test_rewrite_requires_member_base():
     with pytest.raises(PreconditionError):
         rewrite_to_base(Monomial.make(X3, 1, {(1, 2): 1}), 9)
+
+
+def test_expansion_budget():
+    # each of these ran for seconds (x[2,3]^9999) or without end before the budget
+    for mono in (Monomial.make(X3, 1, {(2, 3): 9999}),
+                 Monomial.make(X3, 1, {(1, 2): 10**8, (2, 3): 10**8})):
+        with pytest.raises(SizeLimitError):
+            rewrite_to_base(mono, 1)
+        with pytest.raises(SizeLimitError):
+            normal_form(P("x[1,2]") + mono.as_poly())
+    # one term at the vanishing bound of n = 5, g = 3 (degree 57) is inside it
+    x5 = standard_ground(5)
+    assert normal_form(Monomial.make(x5, 1, {(2, 3): 57}).as_poly()).degree == 57
 
 
 # -- normal forms ------------------------------------------------------------
