@@ -140,8 +140,23 @@ def merge_blocks(outer: Block, inner: Block, ground: IndexSet,
     return merged, leftover
 
 
+def _add_product(acc: dict[Exponents, Fraction], terms: dict[Exponents, Fraction],
+                 factor: Exponents) -> None:
+    """Add ``terms`` times the monomial ``factor`` into ``acc``; zero sums are kept."""
+    for exps, coeff in terms.items():
+        key = _merge_exps(exps, factor)
+        acc[key] = acc.get(key, _Q0) + coeff
+
+
 def _decompose_entries(mono: Monomial, g: int) -> Entries:
-    """Nonzero certificate entries of ``mono``, with terms over its ground set."""
+    """Nonzero certificate entries of ``mono``, with terms over its ground set.
+
+    Each entry over the ground set minus the pivot is lifted in two phases.
+    Phase 1 routes and recurses, adding each inner cofactor term times its
+    spare pairs into a bucket per (branch, inner left part).  Phase 2 merges
+    each bucket's block pair once and adds the bucket, times the leftover
+    pairs^(2g), into the merged block's entry.  Zero sums are dropped at return.
+    """
     ground = mono.ground
     if len(ground) == 2:
         return _base_entries(mono, g)
@@ -151,10 +166,11 @@ def _decompose_entries(mono: Monomial, g: int) -> Entries:
     outer_ground = ground.without(pivot)
     first = ground.min()
     acc: Entries = {}
-    for outer_left, theta in _decompose_entries(rest.with_ground(outer_ground), g).items():
+    for outer_left, theta in _decompose_entries(Monomial(outer_ground, rest.coeff, rest.exps), g).items():
         outer_block = Block(outer_ground, outer_left)
         left, right = outer_block.left, outer_block.right
         sub_grounds = {"H": IndexSet(left).adjoin(pivot), "W": IndexSet(right).adjoin(pivot)}
+        buckets: dict[tuple[str, tuple[Label, ...]], dict[Exponents, Fraction]] = {}
         for exps, coeff in theta.items():
             lifted = Monomial(ground, touching.coeff * coeff, _merge_exps(touching.exps, exps))
             for p in rewrite_to_base(lifted, pivot).terms:
@@ -171,20 +187,13 @@ def _decompose_entries(mono: Monomial, g: int) -> Entries:
                         f"with g={g} has degree {selected.degree}, below {choice.degree_bound}"
                     )
                 for inner_left, phi in _decompose_entries(selected, g).items():
-                    inner_block = Block(sub_ground, inner_left)
-                    merged, leftover = merge_blocks(outer_block, inner_block, ground, choice.side)
-                    if first in merged.left:
-                        merged = merged.transpose()
-                    extra = _merge_exps(spare, tuple((pair, 2 * g) for pair in leftover))
-                    bucket = acc.setdefault(merged.left, {})
-                    for t_exps, c in phi.items():
-                        key = _merge_exps(t_exps, extra)
-                        total = bucket.get(key, _Q0) + c
-                        if total:
-                            bucket[key] = total
-                        else:
-                            del bucket[key]
-    return {left: bucket for left, bucket in acc.items() if bucket}
+                    _add_product(buckets.setdefault((choice.side, inner_left), {}), phi, spare)
+        for (side, inner_left), terms in buckets.items():
+            merged, leftover = merge_blocks(outer_block, Block(sub_grounds[side], inner_left), ground, side)
+            if first in merged.left:
+                merged = merged.transpose()
+            _add_product(acc.setdefault(merged.left, {}), terms, tuple((pair, 2 * g) for pair in leftover))
+    return {left: kept for left, terms in acc.items() if (kept := {e: c for e, c in terms.items() if c})}
 
 
 def decompose(mono: Monomial, g: int) -> Certificate:

@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Sequence
 
@@ -100,12 +99,6 @@ class IntRowSpace:
         return not any(self.reduce(row))
 
 
-def _integer_row(values: Iterable[Fraction]) -> list[int]:
-    values = list(values)
-    scale = math.lcm(*(v.denominator for v in values))
-    return [v.numerator * (scale // v.denominator) for v in values]
-
-
 def _require_scope(ground: IndexSet, g: int, d: int) -> None:
     _require_g(g)
     if len(ground) not in (2, 3, 4):
@@ -171,13 +164,15 @@ class BlockIdealSlice:
         if not p.is_homogeneous() or p.degree != self.degree:
             raise PreconditionError(f"expected a homogeneous polynomial of degree {self.degree}")
         pos, columns = self._layout
-        row = [Fraction(0)] * len(columns)
-        for t in normal_form(p).terms:
+        terms = normal_form(p).terms
+        scale = math.lcm(*(t.coeff.denominator for t in terms))
+        row = [0] * len(columns)
+        for t in terms:
             vec = [0] * len(pos)
             for (_, j), e in t.exps:
                 vec[pos[j]] = e
-            row[columns[tuple(vec)]] = t.coeff
-        return self._space.contains(_integer_row(row))
+            row[columns[tuple(vec)]] = t.coeff.numerator * (scale // t.coeff.denominator)
+        return self._space.contains(row)
 
 
 def block_ideal_slice(ground: IndexSet, g: int, d: int) -> BlockIdealSlice:

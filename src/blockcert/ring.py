@@ -193,10 +193,6 @@ class Monomial:
             raise GroundMismatchError("cannot multiply monomials over different ground sets")
         return Monomial(self.ground, self.coeff * other.coeff, _merge_exps(self.exps, other.exps))
 
-    def with_ground(self, ground: IndexSet) -> "Monomial":
-        """The same term viewed over another ground set containing its variables."""
-        return Monomial(ground, self.coeff, self.exps)
-
     def as_poly(self) -> "Polynomial":
         return Polynomial(self.ground, (self,))
 
