@@ -33,6 +33,7 @@ from .ring import IndexSet, Monomial, Polynomial, eq_mod_relations, normal_form
 # text format
 
 _SYMBOLS = set("[],^*/+-x")
+_DIGITS = set("0123456789")  # ASCII only: str.isdigit also accepts superscript and full-width digits
 
 
 class _Scanner:
@@ -49,7 +50,7 @@ class _Scanner:
         if self.pos >= len(self.text):
             return None
         ch = self.text[self.pos]
-        if ch.isdigit():
+        if ch in _DIGITS:
             return "int"
         if ch in _SYMBOLS:
             return ch
@@ -65,7 +66,7 @@ class _Scanner:
         if self.peek() != "int":
             raise ParseError("expected an integer", self.pos)
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and self.text[self.pos] in _DIGITS:
             self.pos += 1
         return int(self.text[start:self.pos])
 
@@ -174,7 +175,7 @@ def poly_to_json(p: Polynomial) -> dict:
     }
 
 
-_JSON_COEFF = re.compile(r"-?\d+(/\d+)?")
+_JSON_COEFF = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
 
 def _json_int(value, what: str) -> int:
@@ -264,11 +265,17 @@ def report_to_json(report: GradedReport) -> dict:
 # ---------------------------------------------------------------------------
 # subcommands
 
+def _int_arg(text: str) -> int:
+    """An optionally signed integer written with the ASCII digits 0-9 only."""
+    if not re.fullmatch(r"-?[0-9]+", text):
+        raise argparse.ArgumentTypeError(f"expected an integer in the digits 0-9, got {text!r}")
+    return int(text)
+
+
 def _ground_arg(text: str) -> IndexSet:
     try:
-        labels = tuple(int(part) for part in text.split(","))
-        return IndexSet(labels)
-    except (ValueError, PreconditionError) as exc:
+        return IndexSet(tuple(_int_arg(part) for part in text.split(",")))
+    except (argparse.ArgumentTypeError, PreconditionError) as exc:
         raise argparse.ArgumentTypeError(f"bad ground set {text!r}: {exc}") from exc
 
 
@@ -372,7 +379,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--ground", type=_ground_arg, required=True,
                        help="comma-separated ascending labels, e.g. 1,2,3")
         if with_g:
-            p.add_argument("--g", type=int, required=True, help="block exponent parameter (>= 2)")
+            p.add_argument("--g", type=_int_arg, required=True, help="block exponent parameter (>= 2)")
 
     p = sub.add_parser("nf", help="normal form of a polynomial")
     common(p)
@@ -406,8 +413,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("lemma-lines", help="check pivot selection over extremal count tables")
     common(p, with_g=True)
-    p.add_argument("--samples", type=int, default=0, help="random tables instead of exhaustion")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--samples", type=_int_arg, default=0, help="random tables instead of exhaustion")
+    p.add_argument("--seed", type=_int_arg, default=0)
     p.add_argument("--json", action="store_true")
     p.set_defaults(handler=_cmd_lemma_lines)
 
@@ -418,8 +425,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("hilbert", help="graded dimensions around the vanishing bound")
     common(p, with_g=True)
-    p.add_argument("--dmin", type=int, default=None)
-    p.add_argument("--dmax", type=int, default=None)
+    p.add_argument("--dmin", type=_int_arg, default=None)
+    p.add_argument("--dmax", type=_int_arg, default=None)
     p.add_argument("--json", action="store_true")
     p.set_defaults(handler=_cmd_hilbert)
 

@@ -21,7 +21,7 @@ from .combinatorics import (
     split_at,
     vanishing_bound,
 )
-from .errors import MalformedCertificateError, PreconditionError
+from .errors import MalformedCertificateError, PreconditionError, SizeLimitError
 from .ring import (
     Exponents,
     IndexSet,
@@ -67,7 +67,12 @@ class Certificate:
             seen.add(entry.block.left)
 
 
-Entries = dict[tuple[Label, ...], dict[Exponents, Fraction]]  # left part -> cofactor terms
+# Most labels ``decompose`` accepts: one n = 5, g = 2 input at the bound takes
+# about 15 s, and an n = 6 input found no certificate within 30 s.
+LABEL_LIMIT = 5
+
+Terms = dict[Exponents, Fraction]
+Entries = dict[tuple[Label, ...], Terms]  # left part -> cofactor terms
 
 
 def _base_entries(mono: Monomial, g: int) -> Entries:
@@ -140,8 +145,7 @@ def merge_blocks(outer: Block, inner: Block, ground: IndexSet,
     return merged, leftover
 
 
-def _add_product(acc: dict[Exponents, Fraction], terms: dict[Exponents, Fraction],
-                 factor: Exponents) -> None:
+def _add_product(acc: Terms, terms: Terms, factor: Exponents) -> None:
     """Add ``terms`` times the monomial ``factor`` into ``acc``; zero sums are kept."""
     for exps, coeff in terms.items():
         key = _merge_exps(exps, factor)
@@ -170,7 +174,7 @@ def _decompose_entries(mono: Monomial, g: int) -> Entries:
         outer_block = Block(outer_ground, outer_left)
         left, right = outer_block.left, outer_block.right
         sub_grounds = {"H": IndexSet(left).adjoin(pivot), "W": IndexSet(right).adjoin(pivot)}
-        buckets: dict[tuple[str, tuple[Label, ...]], dict[Exponents, Fraction]] = {}
+        buckets: dict[tuple[str, tuple[Label, ...]], Terms] = {}  # (branch, inner left) -> terms
         for exps, coeff in theta.items():
             lifted = Monomial(ground, touching.coeff * coeff, _merge_exps(touching.exps, exps))
             for p in rewrite_to_base(lifted, pivot).terms:
@@ -200,14 +204,16 @@ def decompose(mono: Monomial, g: int) -> Certificate:
     """Certificate expressing ``mono`` through block monomials, built recursively.
 
     Requires deg(mono) >= vanishing_bound(n, g) for the n labels of its
-    ground set.  Deterministic: pivots are the smallest qualifying labels,
-    branch ties prefer "H", and entries are aggregated per block with the
-    smallest label kept in the right part (two-label grounds keep the closed
-    form as is).
+    ground set, and n <= LABEL_LIMIT (else SizeLimitError).  Deterministic:
+    pivots are the smallest qualifying labels, branch ties prefer "H", and
+    entries are aggregated per block with the smallest label kept in the right
+    part (two-label grounds keep the closed form as is).
     """
     if not isinstance(mono, Monomial):
         raise PreconditionError(f"decompose expects a monomial, got {type(mono).__name__}")
     n = len(mono.ground)
+    if n > LABEL_LIMIT:
+        raise SizeLimitError(f"{n} labels, above the limit {LABEL_LIMIT} for decompose")
     bound = vanishing_bound(n, g)
     if mono.degree < bound:
         raise PreconditionError(

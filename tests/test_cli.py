@@ -72,6 +72,11 @@ def test_parse_errors_carry_position():
         parse_poly("   ", X3)
     with pytest.raises(ParseError):
         parse_poly("x[1,2]^", X3)
+    # only the ASCII digits 0-9 are digits: a superscript two, a full-width one
+    for text, pos in (("x[1,2]^\u00b2", 7), ("x[\uff11,2]", 2), ("\uff13*x[1,2]", 0)):
+        with pytest.raises(ParseError, match="unexpected character") as info:
+            parse_poly(text, X3)
+        assert info.value.pos == pos
 
 
 def test_print_examples():
@@ -148,6 +153,8 @@ def test_malformed_certificate_json_rejected():
         ("exps", [[[1.0, 2], 4]]),
         ("coeff", 1.0),
         ("exps", [[[1, 2], 1], [[1, 2], 3]]),
+        ("coeff", "\uff11"),
+        ("coeff", "1/\uff12"),
     ):
         bad = json.loads(json.dumps(good))
         bad["input"]["terms"][0][field] = value
@@ -258,7 +265,7 @@ def test_cmd_hilbert_csv_and_json(capsys):
     assert json.loads(out)["rows"] == [{"degree": 11, "dimR": 12, "dimJ": 12, "dimQuotient": 0}]
 
 
-def test_exit_codes_for_errors(capsys):
+def test_exit_codes_for_errors(capsys, tmp_path):
     # parse error -> 2
     code, _, err = run_cli(capsys, "nf", "--ground", "1,2,3", "x[1,1]")
     assert code == 2 and "equal indices" in err
@@ -278,6 +285,27 @@ def test_exit_codes_for_errors(capsys):
     code, _, err = run_cli(capsys, "nf", "--ground", "1,2,3", "x[1,2]^100000000*x[2,3]^100000000")
     assert code == 3 and "above the limit" in err
     assert time.perf_counter() - start < 5
+    # label budget -> 3, checked before decompose does any work
+    start = time.perf_counter()
+    code, _, err = run_cli(capsys, "decompose", "--ground", "1,2,3,4,5,6", "--g", "2",
+                           "x[1,2]^10*x[2,3]^10*x[3,4]^10*x[4,5]^10*x[5,6]^10*x[6,1]^6")
+    assert code == 3 and "6 labels, above the limit 5" in err
+    assert time.perf_counter() - start < 5
+    # digits outside 0-9 -> 2, never read as numbers
+    code, _, err = run_cli(capsys, "nf", "--ground", "1,2,3", "x[1,2]^\u00b2")
+    assert code == 2 and "position 7" in err
+    code, _, err = run_cli(capsys, "nf", "--ground", "1,2,3", "x[\uff11,2]")
+    assert code == 2 and "position 2" in err
+    code, _, err = run_cli(capsys, "nf", "--ground", " 3,+4", "x[3,4]")
+    assert code == 2 and "bad ground set" in err
+    code, _, _ = run_cli(capsys, "bound", "--ground", "1,2", "--g", "\uff12")
+    assert code == 2
+    cert = certificate_to_json(base_certificate(Monomial.make(X2, 1, {(1, 2): 4}), 2))
+    cert["entries"][0]["cofactor"]["terms"][0]["coeff"] = "\uff11"
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(cert), encoding="utf-8")
+    code, out, _ = run_cli(capsys, "verify", str(path))
+    assert code == 2 and out == ""
 
 
 def test_cmd_verify_reads_stdin(capsys, monkeypatch):

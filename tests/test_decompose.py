@@ -16,6 +16,7 @@ from blockcert import (
     PreconditionError,
     base_certificate,
     decompose,
+    enumerate_blocks,
     merge_blocks,
     normal_form,
     vanishing_bound,
@@ -121,6 +122,31 @@ def test_merge_blocks_normalizes_inner_orientation():
     inner = Block(IndexSet((1, 4)), (4,))
     merged, leftover = merge_blocks(outer, inner, X4, "H")
     assert merged == Block(X4, (1,)) and leftover == ()
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_merge_blocks_every_block_pair(n):
+    ground = standard_ground(n)
+    checked = 0
+    for z in ground:
+        for outer in enumerate_blocks(ground.without(z)):
+            for branch, side in (("H", outer.left), ("W", outer.right)):
+                # enumerate_blocks lists every block in both orientations
+                for inner in enumerate_blocks(IndexSet(side).adjoin(z)):
+                    merged, leftover = merge_blocks(outer, inner, ground, branch)
+                    # z goes to the right part on H and to the left part on W
+                    oriented = inner if (z in inner.right) == (branch == "H") else inner.transpose()
+                    assert merged.ground == ground
+                    assert not set(merged.pairs) & set(leftover)
+                    assert set(merged.pairs) | set(leftover) == set(outer.pairs) | set(oriented.pairs)
+                    assert all(a < b for a, b in zip(leftover, leftover[1:]))
+                    if branch == "H":
+                        assert merged.left == oriented.left
+                    else:
+                        assert merged.right == oriented.right
+                    checked += 1
+    # n * sum over outer blocks (h, w) of (2^(h+1) - 2) + (2^(w+1) - 2) inner blocks
+    assert checked == {4: 4 * (6 * 8), 5: 5 * (8 * 16 + 6 * 12)}[n]
 
 
 def test_merge_blocks_validation():
