@@ -1,7 +1,7 @@
 """Command line front end: polynomial text grammar, JSON/CSV serialization,
 and the subcommands wired to the library.
 
-Text grammar (whitespace insignificant)::
+Text grammar (ASCII space, tab, CR and LF insignificant)::
 
     poly   := [ '-' ] term ( ( '+' | '-' ) term )*
     term   := coeff [ '*' factor ( '*' factor )* ]
@@ -26,7 +26,7 @@ from .combinatorics import Block, enumerate_blocks, pivot_lemma_check, split_lem
 from .decompose import Certificate, CertificateEntry, decompose, verify_certificate
 from .errors import MalformedCertificateError, ParseError, PreconditionError
 from .hilbert import GradedReport, graded_report
-from .ring import IndexSet, Monomial, Polynomial, eq_mod_relations, normal_form
+from .ring import Exponents, IndexSet, Monomial, Polynomial, eq_mod_relations, normal_form
 
 
 # ---------------------------------------------------------------------------
@@ -34,6 +34,7 @@ from .ring import IndexSet, Monomial, Polynomial, eq_mod_relations, normal_form
 
 _SYMBOLS = set("[],^*/+-x")
 _DIGITS = set("0123456789")  # ASCII only: str.isdigit also accepts superscript and full-width digits
+_SPACES = set(" \t\r\n")  # ASCII only: str.isspace also accepts U+00A0, U+3000 and others
 
 
 class _Scanner:
@@ -42,7 +43,7 @@ class _Scanner:
         self.pos = 0
 
     def _skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
+        while self.pos < len(self.text) and self.text[self.pos] in _SPACES:
             self.pos += 1
 
     def peek(self) -> str | None:
@@ -74,7 +75,7 @@ class _Scanner:
 def parse_poly(text: str, ground: IndexSet) -> Polynomial:
     """Parse polynomial text over an explicit ground set into canonical form."""
     scanner = _Scanner(text)
-    monomials: list[Monomial] = []
+    acc: dict[Exponents, Fraction] = {}
 
     def factor(exps: dict) -> None:
         scanner.take_symbol("x")
@@ -114,17 +115,13 @@ def parse_poly(text: str, ground: IndexSet) -> Polynomial:
             if scanner.peek() == "*":
                 scanner.take_symbol("*")
                 factor(exps)
-            else:
-                if coeff:
-                    monomials.append(Monomial.make(ground, coeff, {}))
-                return
         else:
             factor(exps)
         while scanner.peek() == "*":
             scanner.take_symbol("*")
             factor(exps)
-        if coeff:
-            monomials.append(Monomial.make(ground, coeff, exps))
+        key = tuple(sorted(exps.items()))
+        acc[key] = acc.get(key, 0) + coeff
 
     first = scanner.peek()
     if first is None:
@@ -139,7 +136,7 @@ def parse_poly(text: str, ground: IndexSet) -> Polynomial:
         term(1 if op == "+" else -1)
     if scanner.peek() is not None:
         raise ParseError("trailing input after polynomial", scanner.pos)
-    return Polynomial.from_terms(ground, monomials)
+    return Polynomial.from_map(ground, acc)
 
 
 def poly_to_str(p: Polynomial) -> str:
@@ -178,12 +175,6 @@ def poly_to_json(p: Polynomial) -> dict:
 _JSON_COEFF = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
 
-def _json_int(value, what: str) -> int:
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise MalformedCertificateError(f"{what} must be an integer, got {value!r}")
-    return value
-
-
 def _json_fields(obj, keys: tuple[str, ...], what: str) -> list:
     """The values of ``keys`` in a JSON object that has exactly those keys."""
     if not isinstance(obj, dict) or obj.keys() != set(keys):
@@ -193,7 +184,10 @@ def _json_fields(obj, keys: tuple[str, ...], what: str) -> list:
 
 
 def poly_from_json(obj, ground: IndexSet) -> Polynomial:
-    """Read a polynomial object; keys, labels, exponents and coefficients are checked, never coerced."""
+    """Read a polynomial object; keys, labels, exponents and coefficients are checked, never coerced.
+
+    Terms may come in any order, but no two may have the same exponents.
+    """
     try:
         monomials = []
         (terms,) = _json_fields(obj, ("terms",), "polynomial")
@@ -201,12 +195,9 @@ def poly_from_json(obj, ground: IndexSet) -> Polynomial:
             coeff, raw_exps = _json_fields(term, ("coeff", "exps"), "term")
             if not isinstance(coeff, str) or not _JSON_COEFF.fullmatch(coeff):
                 raise MalformedCertificateError(f"coefficient must be a string p or p/q, got {coeff!r}")
-            exps = tuple(
-                ((_json_int(i, "label"), _json_int(j, "label")), _json_int(e, "exponent"))
-                for (i, j), e in raw_exps
-            )
+            exps = tuple(((i, j), e) for (i, j), e in raw_exps)
             monomials.append(Monomial(ground, Fraction(coeff), exps))
-        return Polynomial.from_terms(ground, monomials)
+        return Polynomial(ground, tuple(sorted(monomials, key=Monomial.sort_key)))
     except MalformedCertificateError:
         raise
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
@@ -236,7 +227,7 @@ def certificate_from_json(obj) -> Certificate:
         entries = []
         for raw in raw_entries:
             raw_left, raw_cofactor = _json_fields(raw, ("left", "cofactor"), "entry")
-            left = tuple(sorted(_json_int(lab, "label") for lab in raw_left))
+            left = tuple(sorted(raw_left))
             entries.append(CertificateEntry(Block(ground, left), poly_from_json(raw_cofactor, ground)))
         return Certificate(ground, g, input_poly.terms[0], tuple(entries))
     except MalformedCertificateError:
@@ -310,13 +301,26 @@ def _cmd_decompose(args) -> int:
     return 0
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object; a key repeated within it is an error, not a silent overwrite."""
+    seen = set()
+    for key, _ in pairs:
+        if key in seen:
+            raise MalformedCertificateError(f"repeated key {key!r} in a JSON object")
+        seen.add(key)
+    return dict(pairs)
+
+
 def _cmd_verify(args) -> int:
-    if args.certificate == "-":
-        obj = json.load(sys.stdin)
-    else:
-        with open(args.certificate, "r", encoding="utf-8") as handle:
-            obj = json.load(handle)
-    valid = verify_certificate(certificate_from_json(obj))
+    try:
+        if args.certificate == "-":
+            text = sys.stdin.read()
+        else:
+            with open(args.certificate, "r", encoding="utf-8") as handle:
+                text = handle.read()
+    except UnicodeDecodeError as exc:
+        raise MalformedCertificateError(f"certificate is not UTF-8 text: {exc}") from exc
+    valid = verify_certificate(certificate_from_json(json.loads(text, object_pairs_hook=_unique_keys)))
     print("true" if valid else "false")
     return 0 if valid else 1
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from .errors import PreconditionError
@@ -40,30 +39,26 @@ class Block:
     left: tuple[Label, ...]
 
     def __post_init__(self):
-        left = tuple(self.left)
+        left = IndexSet(tuple(self.left)).elements  # integer labels, strictly ascending
         object.__setattr__(self, "left", left)
         if not left or len(left) >= len(self.ground):
             raise PreconditionError(f"left part must be a proper nonempty subset, got {left}")
-        prev = None
         for lab in left:
             if lab not in self.ground:
                 raise PreconditionError(f"label {lab} not in ground set {self.ground.elements}")
-            if prev is not None and prev >= lab:
-                raise PreconditionError(f"left part must be strictly ascending, got {left}")
-            prev = lab
 
-    @cached_property
+    @property
     def right(self) -> tuple[Label, ...]:
-        left = set(self.left)
-        return tuple(lab for lab in self.ground if lab not in left)
+        return tuple(lab for lab in self.ground if lab not in self.left)
 
-    @cached_property
+    @property
     def pairs(self) -> tuple[Pair, ...]:
-        return tuple((i, j) for i in self.left for j in self.right)
+        right = self.right
+        return tuple((i, j) for i in self.left for j in right)
 
     @property
     def pair_count(self) -> int:
-        return len(self.left) * len(self.right)
+        return len(self.left) * (len(self.ground) - len(self.left))
 
     def transpose(self) -> "Block":
         return Block(self.ground, self.right)
@@ -106,7 +101,7 @@ class PairCountTable:
             counts[key] = counts.get(key, 0) + e
         return cls(mono.ground, counts)
 
-    @cached_property
+    @property
     def total(self) -> int:
         return sum(self.counts.values())
 

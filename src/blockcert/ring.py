@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import Iterable, Iterator, Mapping
 
 from .errors import GroundMismatchError, PreconditionError, SizeLimitError
@@ -69,15 +68,11 @@ class IndexSet:
         elems = tuple(self.elements)
         object.__setattr__(self, "elements", elems)
         for lab in elems:
-            if not isinstance(lab, int) or isinstance(lab, bool) or lab < 0:
+            if type(lab) is not int or lab < 0:  # exactly int: bool and float are refused
                 raise PreconditionError(f"labels must be nonnegative integers, got {lab!r}")
         for a, b in zip(elems, elems[1:]):
             if a >= b:
                 raise PreconditionError(f"labels must be strictly ascending, got {elems}")
-
-    @cached_property
-    def _as_set(self) -> frozenset[Label]:
-        return frozenset(self.elements)
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -86,7 +81,7 @@ class IndexSet:
         return iter(self.elements)
 
     def __contains__(self, label: object) -> bool:
-        return label in self._as_set
+        return label in self.elements
 
     def min(self) -> Label:
         if not self.elements:
@@ -137,10 +132,10 @@ def _merge_exps(a: Exponents, b: Exponents) -> Exponents:
 
 @dataclass(frozen=True)
 class Monomial:
-    """coeff * prod x[i,j]^e with nonzero rational coeff and positive exponents.
+    """coeff * prod x[i,j]^e: nonzero int or Fraction coeff, int labels, positive int exponents.
 
     ``exps`` maps ordered pairs to exponents, kept sorted by pair; an empty
-    ``exps`` is a nonzero constant.
+    ``exps`` is a nonzero constant.  An int coeff is stored as a Fraction.
     """
 
     ground: IndexSet
@@ -148,18 +143,22 @@ class Monomial:
     exps: Exponents = ()
 
     def __post_init__(self):
-        if not isinstance(self.coeff, Fraction):
+        if type(self.coeff) is int:
             object.__setattr__(self, "coeff", Fraction(self.coeff))
+        elif not isinstance(self.coeff, Fraction):
+            raise PreconditionError(f"monomial coefficient must be an int or a Fraction, got {self.coeff!r}")
         if self.coeff == 0:
             raise PreconditionError("monomial coefficient must be nonzero")
         _require_ring_ground(self.ground)
         prev = None
         for (i, j), e in self.exps:
+            if type(i) is not int or type(j) is not int:
+                raise PreconditionError(f"variable x[{i!r},{j!r}] must have integer labels")
             if i == j:
                 raise PreconditionError(f"variable x[{i},{j}] has equal indices")
             if i not in self.ground or j not in self.ground:
                 raise PreconditionError(f"variable x[{i},{j}] outside ground set {self.ground.elements}")
-            if not isinstance(e, int) or e <= 0:
+            if type(e) is not int or e <= 0:
                 raise PreconditionError(f"exponent of x[{i},{j}] must be a positive integer, got {e!r}")
             if prev is not None and prev >= (i, j):
                 raise PreconditionError("exponent pairs must be strictly ascending")
@@ -168,10 +167,10 @@ class Monomial:
     @classmethod
     def make(cls, ground: IndexSet, coeff, exps: Mapping[Pair, int] | Iterable = ()) -> "Monomial":
         items = exps.items() if isinstance(exps, Mapping) else exps
-        cleaned = sorted(((int(i), int(j)), int(e)) for (i, j), e in items if e != 0)
-        return cls(ground, Fraction(coeff), tuple(cleaned))
+        kept = (((i, j), e) for (i, j), e in items if e != 0 or type(e) is not int)  # drops int zeros only
+        return cls(ground, coeff, tuple(sorted(kept)))
 
-    @cached_property
+    @property
     def degree(self) -> int:
         return sum(e for _, e in self.exps)
 
@@ -212,7 +211,7 @@ class Polynomial:
                 raise GroundMismatchError("term ground set differs from polynomial ground set")
             key = t.sort_key()
             if prev is not None and prev >= key:
-                raise PreconditionError("terms must be strictly sorted in the canonical order")
+                raise PreconditionError("terms must be strictly sorted in the canonical order, with no repeated exps")
             prev = key
 
     @classmethod

@@ -1,6 +1,7 @@
 """Text grammar, JSON serialization, and subcommand behavior with exit codes."""
 
 from fractions import Fraction
+import io
 import json
 import random
 import time
@@ -77,6 +78,12 @@ def test_parse_errors_carry_position():
         with pytest.raises(ParseError, match="unexpected character") as info:
             parse_poly(text, X3)
         assert info.value.pos == pos
+    # only space, tab, CR and LF are whitespace: an ideographic space, a no-break space
+    for text, pos in (("x[1,2]\u3000+ x[1,3]", 6), ("x[1,2]\u00a0+ x[1,3]", 6), ("\u00a0x[1,2]", 0)):
+        with pytest.raises(ParseError, match="unexpected character") as info:
+            parse_poly(text, X3)
+        assert info.value.pos == pos
+    assert parse_poly("\tx[1,2]\r\n+ x[1,3] ", X3) == parse_poly("x[1,2]+x[1,3]", X3)
 
 
 def test_print_examples():
@@ -101,6 +108,9 @@ def test_poly_json_round_trip():
         ground = standard_ground(rng.randint(2, 4))
         p = random_poly(rng, ground)
         assert poly_from_json(poly_to_json(p), ground) == p
+        # term order in the file is free
+        reversed_terms = {"terms": poly_to_json(p)["terms"][::-1]}
+        assert poly_from_json(reversed_terms, ground) == p
 
 
 def test_certificate_json_round_trip():
@@ -160,6 +170,13 @@ def test_malformed_certificate_json_rejected():
         bad["input"]["terms"][0][field] = value
         with pytest.raises(MalformedCertificateError):
             certificate_from_json(bad)
+
+    # a repeated exps within one polynomial is rejected, never summed
+    bad = json.loads(json.dumps(good))
+    terms = bad["entries"][0]["cofactor"]["terms"]
+    terms.append(dict(terms[0]))
+    with pytest.raises(MalformedCertificateError):
+        certificate_from_json(bad)
 
     # keys outside the schema are rejected at every level, never ignored
     for where, key in (("certificate", "bogus"), ("entry", "extra"),
@@ -265,7 +282,7 @@ def test_cmd_hilbert_csv_and_json(capsys):
     assert json.loads(out)["rows"] == [{"degree": 11, "dimR": 12, "dimJ": 12, "dimQuotient": 0}]
 
 
-def test_exit_codes_for_errors(capsys, tmp_path):
+def test_exit_codes_for_errors(capsys, tmp_path, monkeypatch):
     # parse error -> 2
     code, _, err = run_cli(capsys, "nf", "--ground", "1,2,3", "x[1,1]")
     assert code == 2 and "equal indices" in err
@@ -306,11 +323,29 @@ def test_exit_codes_for_errors(capsys, tmp_path):
     path.write_text(json.dumps(cert), encoding="utf-8")
     code, out, _ = run_cli(capsys, "verify", str(path))
     assert code == 2 and out == ""
+    # whitespace outside ASCII -> 2, never skipped
+    code, out, err = run_cli(capsys, "nf", "--ground", "1,2,3", "x[1,2]\u3000+ x[1,3]")
+    assert code == 2 and out == "" and "position 6" in err
+    # a key repeated at any level -> 2, never read as its last value; from stdin and from a file
+    good = json.dumps(certificate_to_json(base_certificate(Monomial.make(X2, 1, {(1, 2): 4}), 2)))
+    for repeated in (good.replace('"g": 2', '"g": 5, "g": 2'),
+                     good.replace('"coeff": "1"', '"coeff": "7", "coeff": "1"', 1)):
+        assert repeated != good
+        monkeypatch.setattr("sys.stdin", io.StringIO(repeated))
+        path.write_text(repeated, encoding="utf-8")
+        for source in ("-", str(path)):
+            code, out, err = run_cli(capsys, "verify", source)
+            assert code == 2 and out == "" and "repeated key" in err
+    # input that is not UTF-8 -> 2, not a traceback and exit 1; from a file and from stdin
+    path.write_bytes(b"\xff\xfe{")
+    code, out, err = run_cli(capsys, "verify", str(path))
+    assert code == 2 and out == "" and "not UTF-8" in err
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(b"\xff\xfe{"), encoding="utf-8"))
+    code, out, err = run_cli(capsys, "verify")
+    assert code == 2 and out == "" and "not UTF-8" in err
 
 
 def test_cmd_verify_reads_stdin(capsys, monkeypatch):
-    import io
-
     payload = json.dumps(certificate_to_json(
         base_certificate(Monomial.make(X2, 1, {(1, 2): 4}), 2)
     ))

@@ -41,6 +41,10 @@ def test_block_validation():
         Block(X3, (3, 1))
     with pytest.raises(PreconditionError):
         Block(X3, (4,))
+    # labels follow IndexSet's rule: ints only, so True is not read as label 1
+    for left in ((True,), (1.0,), (1, 2.0)):
+        with pytest.raises(PreconditionError):
+            Block(X3, left)
 
 
 def test_enumerate_blocks_order_and_counts():

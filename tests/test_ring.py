@@ -60,6 +60,17 @@ def test_monomial_validation():
         Monomial.make(X3, 1, {(1, 2): -1})
     # zero exponents are dropped, not stored
     assert Monomial.make(X3, 5, {(1, 2): 0}).exps == ()
+    # labels and exponents are ints, the coefficient an int or a Fraction: never converted
+    for exps in ({(1, 2): 2.7}, {(1.9, 2): 1}, {(1, 2): "3"}, {(1, 2): 0.0}, {(1, 2): False}):
+        with pytest.raises(PreconditionError):
+            Monomial.make(X3, 1, exps)
+    for exps in ((((1.0, 2), 1),), (((1, 2), True),), (((True, 2), 1),)):
+        with pytest.raises(PreconditionError):
+            Monomial(X3, 1, exps)
+    for coeff in (0.1, "1/3", True):
+        with pytest.raises(PreconditionError):
+            Monomial(X3, coeff)
+    assert Monomial(X3, 2).coeff == Fraction(2) and type(Monomial(X3, 2).coeff) is Fraction
 
 
 def test_canonical_term_order():
