@@ -315,10 +315,12 @@ def _cmd_verify(args) -> int:
     try:
         if args.certificate == "-":
             text = sys.stdin.read()
+            # a C or POSIX locale decodes stdin with surrogateescape; stray bytes fail here
+            text.encode("utf-8")
         else:
             with open(args.certificate, "r", encoding="utf-8") as handle:
                 text = handle.read()
-    except UnicodeDecodeError as exc:
+    except (UnicodeDecodeError, UnicodeEncodeError) as exc:
         raise MalformedCertificateError(f"certificate is not UTF-8 text: {exc}") from exc
     valid = verify_certificate(certificate_from_json(json.loads(text, object_pairs_hook=_unique_keys)))
     print("true" if valid else "false")

@@ -21,7 +21,7 @@ from typing import Iterable, Sequence
 
 from .combinatorics import _require_g, enumerate_blocks, iter_compositions
 from .errors import PreconditionError, SizeLimitError
-from .ring import IndexSet, Polynomial, _base_positions, _expand_monomial, normal_form
+from .ring import IndexSet, Polynomial, _base_units, _expand_monomial, normal_form
 
 SIZE_LIMIT = 1_000_000  # rows x columns of one slice's matrix
 
@@ -119,14 +119,18 @@ class BlockIdealSlice:
 
     @cached_property
     def _layout(self):
-        _, pos = _base_positions(self.ground, self.ground.min())
-        columns = {comp: k for k, comp in enumerate(iter_compositions(self.degree, len(pos)))}
-        return pos, columns
+        # columns keyed by packed exponent vectors, fields wide enough for the degree
+        units = _base_units(self.ground, self.ground.min(), self.degree.bit_length() or 1)
+        columns = {
+            sum(map(operator.mul, comp, units.values())): k
+            for k, comp in enumerate(iter_compositions(self.degree, len(units)))
+        }
+        return units, columns
 
     @cached_property
     def _space(self) -> IntRowSpace:
-        pos, columns = self._layout
-        width = len(pos)
+        units, columns = self._layout
+        width = len(units)
         blocks = [
             (block, self.degree - 2 * self.g * block.pair_count)
             for block in enumerate_blocks(self.ground)
@@ -139,15 +143,16 @@ class BlockIdealSlice:
             )
         space = IntRowSpace(len(columns))
         for block, remaining in blocks:
-            generator: dict[tuple[int, ...], int] = {}
+            generator: dict[int, int] = {}
             _expand_monomial(1, tuple((pair, 2 * self.g) for pair in block.pairs),
-                             self.ground.min(), pos, width, generator)
+                             self.ground.min(), units, generator)
             for shift in iter_compositions(remaining, width):
                 if space.rank == len(columns):
                     return space  # already full
+                offset = sum(map(operator.mul, shift, units.values()))
                 row = [0] * len(columns)
-                for vec, c in generator.items():
-                    row[columns[tuple(map(operator.add, vec, shift))]] = c
+                for key, c in generator.items():
+                    row[columns[key + offset]] = c
                 space.add(row)
         return space
 
@@ -163,15 +168,13 @@ class BlockIdealSlice:
             return True
         if not p.is_homogeneous() or p.degree != self.degree:
             raise PreconditionError(f"expected a homogeneous polynomial of degree {self.degree}")
-        pos, columns = self._layout
+        units, columns = self._layout
         terms = normal_form(p).terms
         scale = math.lcm(*(t.coeff.denominator for t in terms))
         row = [0] * len(columns)
         for t in terms:
-            vec = [0] * len(pos)
-            for (_, j), e in t.exps:
-                vec[pos[j]] = e
-            row[columns[tuple(vec)]] = t.coeff.numerator * (scale // t.coeff.denominator)
+            key = sum(e * units[j] for (_, j), e in t.exps)
+            row[columns[key]] = t.coeff.numerator * (scale // t.coeff.denominator)
         return self._space.contains(row)
 
 

@@ -303,71 +303,80 @@ class Polynomial:
         return result
 
 
-def _base_positions(ground: IndexSet, base: Label) -> tuple[tuple[Label, ...], dict[Label, int]]:
-    others = tuple(lab for lab in ground if lab != base)
-    return others, {lab: k for k, lab in enumerate(others)}
+def _base_units(ground: IndexSet, base: Label, bits: int) -> dict[Label, int]:
+    """Each non-base label, ascending, mapped to 1 << (bits * k) for the k-th."""
+    others = (lab for lab in ground if lab != base)
+    return {lab: 1 << (bits * k) for k, lab in enumerate(others)}
 
 
 def _expand_monomial(
     coeff: int,
     exps: Exponents,
     base: Label,
-    pos: dict[Label, int],
-    width: int,
-    acc: dict[tuple[int, ...], int],
+    units: dict[Label, int],
+    acc: dict[int, int],
 ) -> None:
     """Accumulate the base-variable expansion of one term into ``acc``.
 
-    Keys of ``acc`` are dense exponent vectors over the non-base labels in
-    ascending order; entry k is the exponent of x[base, others[k]].  The
-    coefficient is an integer and so is every binomial and sign, so the whole
-    expansion is integer multiply-adds; callers scale rationals beforehand.
+    Keys of ``acc`` are packed exponent vectors: the exponent of x[base, lab]
+    times ``units[lab]``, summed over the non-base labels.  Fields must be wide
+    enough for the term's degree, so that multiplying two base monomials is
+    adding their keys.  The coefficient is an integer and so is every binomial
+    and sign, so the whole expansion is integer multiply-adds; callers scale
+    rationals beforehand.
     """
-    start = [0] * width
-    negate = False
-    binoms = []
+    start = 0
+    negate = 0
+    powers: dict[Pair, int] = {}
     for (i, j), e in exps:
         if i == base:
-            start[pos[j]] += e
+            start += e * units[j]
         elif j == base:
             # x[i,base] == -x[base,i] in the quotient
-            start[pos[i]] += e
-            if e & 1:
-                negate = not negate
+            start += e * units[i]
+            negate ^= e & 1
         else:
-            binoms.append((pos[i], pos[j], e))
-    local = {tuple(start): -coeff if negate else coeff}
-    for pi, pj, e in binoms:
+            if i > j:
+                # x[i,j] == -x[j,i]: fold both orientations into one power
+                i, j = j, i
+                negate ^= e & 1
+            powers[i, j] = powers.get((i, j), 0) + e
+    local = {start: -coeff if negate else coeff}
+    for (i, j), e in powers.items():
         # x[i,j] == x[base,j] - x[base,i]; expand the e-th power exactly.
+        ui, uj = units[i], units[j]
         expansion = [
-            (-math.comb(e, k) if (e - k) & 1 else math.comb(e, k), e - k, k)
+            (-math.comb(e, k) if (e - k) & 1 else math.comb(e, k), (e - k) * ui + k * uj)
             for k in range(e + 1)
         ]
-        nxt: dict[tuple[int, ...], int] = {}
-        for vec, c in local.items():
-            base_vec = list(vec)
-            for bc, ei, ej in expansion:
-                v = base_vec.copy()
-                v[pi] += ei
-                v[pj] += ej
-                key = tuple(v)
-                nxt[key] = nxt.get(key, 0) + c * bc
+        nxt: dict[int, int] = {}
+        for key, c in local.items():
+            for bc, offset in expansion:
+                at = key + offset
+                nxt[at] = nxt.get(at, 0) + c * bc
         local = nxt
-    for vec, c in local.items():
-        total = acc.get(vec, 0) + c
+    for key, c in local.items():
+        total = acc.get(key, 0) + c
         if total:
-            acc[vec] = total
+            acc[key] = total
         else:
-            acc.pop(vec, None)
+            acc.pop(key, None)
 
 
-def _dense_to_poly(ground: IndexSet, base: Label, others: tuple[Label, ...],
-                   acc: Mapping[tuple[int, ...], int], scale: int) -> Polynomial:
-    """The polynomial sum of c/scale * prod x[base, others[k]]^vec[k] over ``acc``."""
+def _packed_to_poly(ground: IndexSet, base: Label, units: dict[Label, int], bits: int,
+                    acc: Mapping[int, int], scale: int) -> Polynomial:
+    """The sum of c/scale * x^key over ``acc``, each key unpacked into ``bits``-wide fields."""
+    mask = (1 << bits) - 1
     mapping: dict[Exponents, Fraction] = {}
-    for vec, c in acc.items():
-        exps = tuple(((base, others[k]), e) for k, e in enumerate(vec) if e)
-        mapping[exps] = Fraction(c, scale)
+    for key, c in acc.items():
+        exps = []
+        for lab in units:
+            if not key:
+                break
+            if e := key & mask:
+                exps.append(((base, lab), e))
+            key >>= bits
+        mapping[tuple(exps)] = Fraction(c, scale)
     return Polynomial.from_map(ground, mapping)
 
 
@@ -375,25 +384,30 @@ def _to_base(ground: IndexSet, terms: tuple[Monomial, ...], base: Label) -> Poly
     """The sum of ``terms`` in the variables x[base,j] only.
 
     Every term is scaled to an integer by the lcm of the denominators, the
-    expansion runs on integers, and each output coefficient is divided by that
-    lcm once.  Raises SizeLimitError before expanding anything when one term
-    exceeds EXPANSION_LIMIT.
+    expansion runs on integers over keys packed with fields as wide as the top
+    degree, and each output coefficient is divided by that lcm once.  Raises
+    SizeLimitError before expanding anything when one term exceeds
+    EXPANSION_LIMIT.
     """
-    others, pos = _base_positions(ground, base)
-    width = len(others)
+    width = len(ground) - 1
+    top = 0
     for t in terms:
-        size = t.degree * math.comb(t.degree + width - 1, width - 1)
+        degree = t.degree
+        size = degree * math.comb(degree + width - 1, width - 1)
         if size > EXPANSION_LIMIT:
             raise SizeLimitError(
-                f"expanding a term of degree {t.degree} over {width} base variables measures "
+                f"expanding a term of degree {degree} over {width} base variables measures "
                 f"{size}, above the limit {EXPANSION_LIMIT}"
             )
+        top = max(top, degree)
+    bits = top.bit_length() or 1
+    units = _base_units(ground, base, bits)
     scale = math.lcm(*(t.coeff.denominator for t in terms))
-    acc: dict[tuple[int, ...], int] = {}
+    acc: dict[int, int] = {}
     for t in terms:
         coeff = t.coeff.numerator * (scale // t.coeff.denominator)
-        _expand_monomial(coeff, t.exps, base, pos, width, acc)
-    return _dense_to_poly(ground, base, others, acc, scale)
+        _expand_monomial(coeff, t.exps, base, units, acc)
+    return _packed_to_poly(ground, base, units, bits, acc, scale)
 
 
 def rewrite_to_base(mono: Monomial, base: Label) -> Polynomial:

@@ -3,8 +3,12 @@
 from fractions import Fraction
 import io
 import json
+import os
 import random
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -343,6 +347,16 @@ def test_exit_codes_for_errors(capsys, tmp_path, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(b"\xff\xfe{"), encoding="utf-8"))
     code, out, err = run_cli(capsys, "verify")
     assert code == 2 and out == "" and "not UTF-8" in err
+
+
+def test_cmd_verify_non_utf8_stdin_bytes():
+    # the real process stdin: under a C locale Python decodes it with surrogateescape
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "LC_ALL": "C", "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-m", "blockcert", "verify"], input=b"\xff\xfe{",
+                          capture_output=True, env=env, timeout=60)
+    assert done.returncode == 2 and done.stdout == b""
+    assert b"not UTF-8" in done.stderr
 
 
 def test_cmd_verify_reads_stdin(capsys, monkeypatch):

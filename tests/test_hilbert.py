@@ -135,6 +135,8 @@ def test_quotient_vanishes_at_and_above_bound():
 def test_quotient_positive_below_bound():
     assert dim_quotient_graded(X2, 3, 5) == 1
     assert dim_quotient_graded(X3, 2, 7) > 0
+    # at degree 16 the packed exponent fields are 5 bits wide and one holds exactly 16
+    assert dim_quotient_graded(X3, 3, 16) == 2
     # the bound is sharp at four labels: the quotient survives one degree below it
     assert dim_quotient_graded(X4, 2, 20) == 18
     assert dim_quotient_graded(X4, 2, 21) == 6
@@ -173,7 +175,7 @@ def test_graded_report_shape():
 
 def test_certificates_agree_with_row_space_membership():
     rng = random.Random(32)
-    for ground, d in ((X3, 11), (X3, 12), (X4, 22)):
+    for ground, d in ((X3, 11), (X3, 12), (X3, 16), (X4, 22)):
         pairs = ordered_pairs(ground)
         slice_ = block_ideal_slice(ground, 2, d)
         for _ in range(10):

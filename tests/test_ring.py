@@ -190,6 +190,56 @@ def test_expansion_budget():
     assert normal_form(Monomial.make(x5, 1, {(2, 3): 57}).as_poly()).degree == 57
 
 
+def _substituted(mono, base):
+    """``mono`` under x[i,j] -> x[base,j] - x[base,i], x[base,base] = 0, by Polynomial arithmetic."""
+    ground = mono.ground
+
+    def x(j):
+        return Polynomial.zero(ground) if j == base else Polynomial.variable(ground, base, j)
+
+    out = Polynomial.constant(ground, mono.coeff)
+    for (i, j), e in mono.exps:
+        out = out * (x(j) - x(i)) ** e
+    return out
+
+
+def test_expansion_matches_polynomial_substitution():
+    # Degrees on both sides of 8, 16 and 32: the expansion packs each base
+    # exponent into a field as wide as the top degree's bit length, so a field
+    # holding exactly 8, 16 or 32 would spill over if it were one bit narrower.
+    rng = random.Random(17)
+    for n in range(2, 6):
+        ground = standard_ground(n)
+        labels = list(ground)
+        pairs = [(i, j) for i in labels for j in labels if i != j]
+        for degree in (7, 8, 15, 16, 31, 32, 33):
+            coeff = Fraction(rng.choice([-3, -1, 2, 5]), rng.randint(1, 6))
+            # x[i,j]^a * x[j,i]^b with b odd, off the base label when there is room
+            i, j = sorted(rng.sample(labels[1:], 2)) if n > 2 else (1, 2)
+            b = rng.randrange(1, degree + 1, 2)
+            spread = rng.sample(pairs, min(3, len(pairs)))
+            cuts = sorted(rng.randint(0, degree) for _ in spread[1:])
+            monos = [
+                Monomial.make(ground, coeff, {rng.choice(pairs): degree}),
+                Monomial.make(ground, -coeff, {(i, j): degree - b, (j, i): b}),
+                Monomial.make(ground, 1, dict(zip(spread, (hi - lo for lo, hi in
+                                                          zip([0] + cuts, cuts + [degree]))))),
+            ]
+            for mono in monos:
+                assert mono.degree == degree
+                for base in labels:
+                    assert rewrite_to_base(mono, base) == _substituted(mono, base)
+            total = Polynomial.from_terms(ground, monos)
+            assert normal_form(total) == sum((_substituted(m, 1) for m in total.terms),
+                                             Polynomial.zero(ground))
+        # an inhomogeneous polynomial: the width follows the degree-32 term,
+        # not the degree-1 term beside it
+        low, high = rng.sample(pairs, 2)
+        p = Polynomial.from_terms(ground, [Monomial.make(ground, 3, {low: 1}),
+                                           Monomial.make(ground, Fraction(-1, 2), {high: 32})])
+        assert normal_form(p) == _substituted(p.terms[0], 1) + _substituted(p.terms[1], 1)
+
+
 # -- normal forms ------------------------------------------------------------
 
 def test_normal_form_examples():
