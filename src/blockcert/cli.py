@@ -227,8 +227,8 @@ def certificate_from_json(obj) -> Certificate:
         entries = []
         for raw in raw_entries:
             raw_left, raw_cofactor = _json_fields(raw, ("left", "cofactor"), "entry")
-            left = tuple(sorted(raw_left))
-            entries.append(CertificateEntry(Block(ground, left), poly_from_json(raw_cofactor, ground)))
+            # Block reads left as an IndexSet, so a left that is not strictly ascending is refused
+            entries.append(CertificateEntry(Block(ground, tuple(raw_left)), poly_from_json(raw_cofactor, ground)))
         return Certificate(ground, g, input_poly.terms[0], tuple(entries))
     except MalformedCertificateError:
         raise

@@ -11,11 +11,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from .errors import PreconditionError
-from .ring import IndexSet, Label, Monomial, Pair
+from .ring import IndexSet, Label, Monomial, Pair, _Q1, _trusted
 
 
 def _require_g(g: int) -> None:
@@ -61,7 +60,7 @@ class Block:
         return len(self.left) * (len(self.ground) - len(self.left))
 
     def transpose(self) -> "Block":
-        return Block(self.ground, self.right)
+        return _trusted(Block, ground=self.ground, left=self.right)
 
 
 def enumerate_blocks(ground: IndexSet) -> list[Block]:
@@ -151,8 +150,8 @@ def split_at(mono: Monomial, pivot: Label) -> tuple[Monomial, Monomial]:
     touching = tuple(item for item in mono.exps if pivot in item[0])
     rest = tuple(item for item in mono.exps if pivot not in item[0])
     return (
-        Monomial(mono.ground, mono.coeff, touching),
-        Monomial(mono.ground, Fraction(1), rest),
+        _trusted(Monomial, ground=mono.ground, coeff=mono.coeff, exps=touching),
+        _trusted(Monomial, ground=mono.ground, coeff=_Q1, exps=rest),
     )
 
 
@@ -177,28 +176,29 @@ def branch_of_split(mono: Monomial, pivot: Label, left: Iterable[Label],
         raise PreconditionError(f"label {pivot} not in ground set {ground.elements}")
     left = tuple(left)
     right = tuple(right)
-    if set(left) & set(right) or set(left) | set(right) != set(ground) - {pivot}:
+    if sorted(left + right) != [lab for lab in ground.elements if lab != pivot]:
         raise PreconditionError("left and right must partition the ground set minus the pivot")
     if not left or not right:
         raise PreconditionError("both sides of the partition must be nonempty")
-    for (i, _), _e in mono.exps:
+    degree = left_degree = 0
+    for (i, j), e in mono.exps:
         if i != pivot:
             raise PreconditionError(f"expected a monomial in variables x[{pivot},j] only")
+        degree += e
+        if j in left:
+            left_degree += e
     h, w = len(left), len(right)
     n = len(ground)
     required = vanishing_bound(n, g) - 2 * g * w * h
-    if mono.degree < required:
+    if degree < required:
         raise PreconditionError(
-            f"degree {mono.degree} below required {required} for n={n}, g={g}, h={h}, w={w}"
+            f"degree {degree} below required {required} for n={n}, g={g}, h={h}, w={w}"
         )
-    left_set = set(left)
-    left_degree = sum(e for (_, j), e in mono.exps if j in left_set)
     h_bound = vanishing_bound(h + 1, g)
     if left_degree >= h_bound:
         return BranchChoice("H", h_bound)
     w_bound = vanishing_bound(w + 1, g)
-    right_degree = mono.degree - left_degree
-    if right_degree < w_bound:
+    if degree - left_degree < w_bound:
         raise RuntimeError("internal consistency failure: neither side reaches its bound")
     return BranchChoice("W", w_bound)
 

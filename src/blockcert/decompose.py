@@ -32,6 +32,7 @@ from .ring import (
     Polynomial,
     _Q0,
     _merge_exps,
+    _trusted,
     rewrite_to_base,
 )
 
@@ -67,8 +68,10 @@ class Certificate:
             seen.add(entry.block.left)
 
 
-# Most labels ``decompose`` accepts: one n = 5, g = 2 input at the bound takes
-# about 15 s, and an n = 6 input found no certificate within 30 s.
+# Most labels ``decompose`` accepts.  It bounds the label count, not the time:
+# at n = 5, g = 2 and the bound, x[1,2]^8*x[2,3]^8*x[3,4]^7*x[4,5]^7*x[5,1]^7
+# takes about 8 s and x[1,2]^37 did not finish in 600 s; an n = 6 input found
+# no certificate within 30 s.
 LABEL_LIMIT = 5
 
 Terms = dict[Exponents, Fraction]
@@ -133,11 +136,15 @@ def merge_blocks(outer: Block, inner: Block, ground: IndexSet,
     if branch == "H":
         if pivot in inner.left:
             inner = inner.transpose()
-        merged = Block(ground, inner.left)
+        merged_left = inner.left
     else:
         if pivot in inner.right:
             inner = inner.transpose()
-        merged = Block(ground, tuple(lab for lab in ground if lab not in set(inner.right)))
+        inner_right = set(inner.right)
+        merged_left = tuple(lab for lab in ground if lab not in inner_right)
+    # valid by the checks above: inner.left (H) is nonempty and lacks the pivot; the
+    # complement of inner.right (W) holds the pivot and misses the nonempty inner.right
+    merged = _trusted(Block, ground=ground, left=merged_left)
     available = set(outer.pairs) | set(inner.pairs)
     if not set(merged.pairs) <= available:
         raise RuntimeError("internal consistency failure: merged block exceeds the available pairs")
@@ -170,30 +177,38 @@ def _decompose_entries(mono: Monomial, g: int) -> Entries:
     outer_ground = ground.without(pivot)
     first = ground.min()
     acc: Entries = {}
-    for outer_left, theta in _decompose_entries(Monomial(outer_ground, rest.coeff, rest.exps), g).items():
-        outer_block = Block(outer_ground, outer_left)
+    # Below, every Monomial, Block and IndexSet is built from parts validated
+    # at the top-level call, so none of them is checked again.
+    outer_mono = _trusted(Monomial, ground=outer_ground, coeff=rest.coeff, exps=rest.exps)
+    for outer_left, theta in _decompose_entries(outer_mono, g).items():
+        outer_block = _trusted(Block, ground=outer_ground, left=outer_left)
         left, right = outer_block.left, outer_block.right
-        sub_grounds = {"H": IndexSet(left).adjoin(pivot), "W": IndexSet(right).adjoin(pivot)}
+        sub_grounds = {side: _trusted(IndexSet, elements=tuple(sorted(part + (pivot,))))
+                       for side, part in (("H", left), ("W", right))}
         buckets: dict[tuple[str, tuple[Label, ...]], Terms] = {}  # (branch, inner left) -> terms
         for exps, coeff in theta.items():
-            lifted = Monomial(ground, touching.coeff * coeff, _merge_exps(touching.exps, exps))
+            lifted = _trusted(Monomial, ground=ground, coeff=touching.coeff * coeff,
+                              exps=_merge_exps(touching.exps, exps))
             for p in rewrite_to_base(lifted, pivot).terms:
                 choice = branch_of_split(p, pivot, left, right, g)
                 sub_ground = sub_grounds[choice.side]
+                labels = sub_ground.elements
                 # every variable is x[pivot,j] with j != pivot, so j in sub_ground means j on the side
-                chosen = tuple(item for item in p.exps if item[0][1] in sub_ground)
-                spare = tuple(item for item in p.exps if item[0][1] not in sub_ground)
-                selected = Monomial(sub_ground, p.coeff, chosen)
-                if selected.degree < choice.degree_bound:
+                chosen = tuple(item for item in p.exps if item[0][1] in labels)
+                spare = tuple(item for item in p.exps if item[0][1] not in labels)
+                degree = sum(e for _, e in chosen)
+                if degree < choice.degree_bound:
                     raise RuntimeError(
                         "internal consistency failure: sub-monomial "
-                        f"{selected.coeff}*{selected.exps} over ground {sub_ground.elements} "
-                        f"with g={g} has degree {selected.degree}, below {choice.degree_bound}"
+                        f"{p.coeff}*{chosen} over ground {labels} "
+                        f"with g={g} has degree {degree}, below {choice.degree_bound}"
                     )
+                selected = _trusted(Monomial, ground=sub_ground, coeff=p.coeff, exps=chosen)
                 for inner_left, phi in _decompose_entries(selected, g).items():
                     _add_product(buckets.setdefault((choice.side, inner_left), {}), phi, spare)
         for (side, inner_left), terms in buckets.items():
-            merged, leftover = merge_blocks(outer_block, Block(sub_grounds[side], inner_left), ground, side)
+            inner_block = _trusted(Block, ground=sub_grounds[side], left=inner_left)
+            merged, leftover = merge_blocks(outer_block, inner_block, ground, side)
             if first in merged.left:
                 merged = merged.transpose()
             _add_product(acc.setdefault(merged.left, {}), terms, tuple((pair, 2 * g) for pair in leftover))
@@ -243,4 +258,8 @@ def verify_certificate(cert: Certificate) -> bool:
         for t in cofactor.terms:
             key = _merge_exps(t.exps, block_exps)
             acc[key] = acc.get(key, _Q0) - t.coeff
-    return ring.normal_form(Polynomial.from_map(cert.ground, acc)).is_zero
+    # every term merges exps of the validated input, cofactors and blocks
+    ground = cert.ground
+    terms = [_trusted(Monomial, ground=ground, coeff=c, exps=exps) for exps, c in acc.items() if c]
+    terms.sort(key=Monomial.sort_key)
+    return ring.normal_form(_trusted(Polynomial, ground=ground, terms=tuple(terms))).is_zero

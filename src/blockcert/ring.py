@@ -58,6 +58,22 @@ class _MinusInfinity:
 MINUS_INFINITY = _MinusInfinity()
 
 
+def _trusted(cls, **fields):
+    """A frozen ``cls`` value from fields that are valid by construction.
+
+    ``__post_init__`` does not run, so nothing is checked or converted: only
+    for values the package derives from parts it has already validated.
+    """
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
+
+
+def _require_label(lab) -> None:
+    if type(lab) is not int or lab < 0:  # exactly int: bool and float are refused
+        raise PreconditionError(f"labels must be nonnegative integers, got {lab!r}")
+
+
 @dataclass(frozen=True)
 class IndexSet:
     """Finite set of nonnegative integer labels, stored strictly ascending."""
@@ -68,8 +84,7 @@ class IndexSet:
         elems = tuple(self.elements)
         object.__setattr__(self, "elements", elems)
         for lab in elems:
-            if type(lab) is not int or lab < 0:  # exactly int: bool and float are refused
-                raise PreconditionError(f"labels must be nonnegative integers, got {lab!r}")
+            _require_label(lab)
         for a, b in zip(elems, elems[1:]):
             if a >= b:
                 raise PreconditionError(f"labels must be strictly ascending, got {elems}")
@@ -91,12 +106,13 @@ class IndexSet:
     def without(self, label: Label) -> "IndexSet":
         if label not in self:
             raise PreconditionError(f"label {label} not in ground set {self.elements}")
-        return IndexSet(tuple(e for e in self.elements if e != label))
+        return _trusted(IndexSet, elements=tuple(e for e in self.elements if e != label))
 
     def adjoin(self, label: Label) -> "IndexSet":
         if label in self:
             raise PreconditionError(f"label {label} already in ground set {self.elements}")
-        return IndexSet(tuple(sorted(self.elements + (label,))))
+        _require_label(label)
+        return _trusted(IndexSet, elements=tuple(sorted(self.elements + (label,))))
 
 
 def _require_ring_ground(ground: IndexSet) -> None:
@@ -150,13 +166,14 @@ class Monomial:
         if self.coeff == 0:
             raise PreconditionError("monomial coefficient must be nonzero")
         _require_ring_ground(self.ground)
+        labels = self.ground.elements
         prev = None
         for (i, j), e in self.exps:
             if type(i) is not int or type(j) is not int:
                 raise PreconditionError(f"variable x[{i!r},{j!r}] must have integer labels")
             if i == j:
                 raise PreconditionError(f"variable x[{i},{j}] has equal indices")
-            if i not in self.ground or j not in self.ground:
+            if i not in labels or j not in labels:
                 raise PreconditionError(f"variable x[{i},{j}] outside ground set {self.ground.elements}")
             if type(e) is not int or e <= 0:
                 raise PreconditionError(f"exponent of x[{i},{j}] must be a positive integer, got {e!r}")
@@ -220,7 +237,8 @@ class Polynomial:
 
     @classmethod
     def constant(cls, ground: IndexSet, value) -> "Polynomial":
-        value = Fraction(value)
+        if type(value) is not int and not isinstance(value, Fraction):
+            raise PreconditionError(f"constant must be an int or a Fraction, got {value!r}")
         if value == 0:
             return cls.zero(ground)
         return cls(ground, (Monomial(ground, value),))
@@ -241,9 +259,10 @@ class Polynomial:
     @classmethod
     def from_map(cls, ground: IndexSet, mapping: Mapping[Exponents, Fraction]) -> "Polynomial":
         """Build from an exponents -> coefficient map; zero coefficients are dropped."""
+        _require_ring_ground(ground)
         terms = [Monomial(ground, c, exps) for exps, c in mapping.items() if c != 0]
-        terms.sort(key=Monomial.sort_key)
-        return cls(ground, tuple(terms))
+        terms.sort(key=Monomial.sort_key)  # distinct exps, so distinct keys: strictly sorted
+        return _trusted(cls, ground=ground, terms=tuple(terms))
 
     @property
     def is_zero(self) -> bool:
@@ -367,8 +386,8 @@ def _packed_to_poly(ground: IndexSet, base: Label, units: dict[Label, int], bits
                     acc: Mapping[int, int], scale: int) -> Polynomial:
     """The sum of c/scale * x^key over ``acc``, each key unpacked into ``bits``-wide fields."""
     mask = (1 << bits) - 1
-    mapping: dict[Exponents, Fraction] = {}
-    for key, c in acc.items():
+    terms = []
+    for key, c in acc.items():  # c is nonzero: _expand_monomial drops zero sums
         exps = []
         for lab in units:
             if not key:
@@ -376,8 +395,9 @@ def _packed_to_poly(ground: IndexSet, base: Label, units: dict[Label, int], bits
             if e := key & mask:
                 exps.append(((base, lab), e))
             key >>= bits
-        mapping[tuple(exps)] = Fraction(c, scale)
-    return Polynomial.from_map(ground, mapping)
+        terms.append(_trusted(Monomial, ground=ground, coeff=Fraction(c, scale), exps=tuple(exps)))
+    terms.sort(key=Monomial.sort_key)
+    return _trusted(Polynomial, ground=ground, terms=tuple(terms))
 
 
 def _to_base(ground: IndexSet, terms: tuple[Monomial, ...], base: Label) -> Polynomial:

@@ -160,6 +160,15 @@ def test_malformed_certificate_json_rejected():
     with pytest.raises(MalformedCertificateError):
         certificate_from_json(bad)
 
+    # a left part must be strictly ascending like every other list: never sorted into a valid one
+    mono = parse_poly("x[1,2]^6*x[2,3]^6*x[3,4]^5*x[4,1]^5", standard_ground(4)).terms[0]
+    four = certificate_to_json(decompose(mono, 2))
+    assert [entry["left"] for entry in four["entries"]] == [[2, 4]]
+    for left in ([4, 2], [2, 2, 4]):
+        four["entries"][0]["left"] = left
+        with pytest.raises(MalformedCertificateError, match="strictly ascending"):
+            certificate_from_json(four)
+
     # values outside the schema are rejected, never coerced into another claim
     for field, value in (
         ("exps", [[[1, 2], 4.9]]),

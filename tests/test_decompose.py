@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 import random
+import sys
 
 import pytest
 
@@ -19,10 +20,13 @@ from blockcert import (
     enumerate_blocks,
     merge_blocks,
     normal_form,
+    rewrite_to_base,
+    split_at,
     vanishing_bound,
     verify_certificate,
 )
-from helpers import ordered_pairs, sample_composition, standard_ground
+from helpers import ordered_pairs, random_monomial, random_poly, sample_composition, standard_ground
+from test_golden import golden_inputs
 
 X2 = IndexSet((1, 2))
 X3 = IndexSet((1, 2, 3))
@@ -309,3 +313,71 @@ def test_verified_certificate_witnesses_ideal_membership():
     for entry in cert.entries:
         total = total + entry.cofactor * block_monomial(X3, entry.block, 2).as_poly()
     assert normal_form(mono.as_poly() - total).is_zero
+
+
+# -- derived values ------------------------------------------------------------------
+
+def rebuilt(value):
+    """``value`` built again through the public constructors, which check everything."""
+    if isinstance(value, IndexSet):
+        return IndexSet(value.elements)
+    if isinstance(value, Monomial):
+        # the constructor stores exps as given, so a list would pass it
+        assert type(value.coeff) is Fraction and type(value.exps) is tuple
+        return Monomial(rebuilt(value.ground), value.coeff, value.exps)
+    if isinstance(value, Block):
+        return Block(rebuilt(value.ground), value.left)
+    if isinstance(value, Polynomial):
+        assert type(value.terms) is tuple
+        Polynomial(value.ground, value.terms)
+        return Polynomial(rebuilt(value.ground), tuple(rebuilt(t) for t in value.terms))
+    if isinstance(value, tuple):
+        return tuple(rebuilt(v) for v in value)
+    return value
+
+
+def assert_valid(value):
+    again = rebuilt(value)
+    assert again == value and type(again) is type(value)
+
+
+def test_derived_values_are_valid(monkeypatch):
+    """Terms, blocks and ground sets the package derives without re-checking pass every check."""
+    # blockcert.decompose is the function; the module is in sys.modules
+    dec, ring = sys.modules["blockcert.decompose"], sys.modules["blockcert.ring"]
+    seams = ((dec, "rewrite_to_base"), (dec, "split_at"), (dec, "merge_blocks"), (ring, "normal_form"))
+    seen = {name: [] for _, name in seams}  # name -> (arguments, result) of every call
+
+    def recording(name, fn):
+        def wrapper(*args):
+            result = fn(*args)
+            seen[name].append((args, result))
+            return result
+        return wrapper
+
+    for module, name in seams:
+        monkeypatch.setattr(module, name, recording(name, getattr(module, name)))
+    rng = random.Random(25)
+    inputs = list(golden_inputs())
+    for n, g, extra in ((3, 2, 0), (3, 3, 2), (4, 2, 0), (4, 2, 1), (4, 3, 0)):
+        ground = standard_ground(n)
+        inputs += [(random_monomial(rng, ground, vanishing_bound(n, g) + extra), g) for _ in range(3)]
+    for mono, g in inputs:
+        cert = decompose(mono, g)
+        assert verify_certificate(cert)
+        for entry in cert.entries:
+            assert_valid(entry.block)
+            assert_valid(entry.cofactor)
+    for n in (3, 4):
+        ground = standard_ground(n)
+        for _ in range(10):
+            mono = random_monomial(rng, ground, rng.randint(0, 8))
+            p = random_poly(rng, ground)
+            seen["rewrite_to_base"].append(((mono,), rewrite_to_base(mono, ground.min())))
+            seen["normal_form"].append(((p,), normal_form(p)))
+            seen["split_at"] += [((mono,), split_at(mono, pivot)) for pivot in ground]
+    assert all(seen.values())
+    for calls in seen.values():
+        for args, result in calls:
+            assert_valid(args)
+            assert_valid(result)

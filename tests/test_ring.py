@@ -82,6 +82,17 @@ def test_canonical_term_order():
     ]
 
 
+def test_constant_takes_int_or_fraction_only():
+    assert Polynomial.constant(X3, 3).terms == (Monomial(X3, 3),)
+    assert Polynomial.constant(X3, Fraction(-3, 4)).terms == (Monomial(X3, Fraction(-3, 4)),)
+    assert type(Polynomial.constant(X3, 3).terms[0].coeff) is Fraction
+    assert Polynomial.constant(X3, 0) == Polynomial.zero(X3)
+    # the same values Monomial refuses: never converted through Fraction()
+    for value in (0.1, True, "3/4", 1.0, None):
+        with pytest.raises(PreconditionError, match="int or a Fraction"):
+            Polynomial.constant(X3, value)
+
+
 def test_degree_of_zero_is_sentinel():
     zero = Polynomial.zero(X3)
     assert zero.degree is MINUS_INFINITY
