@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterator
 
 from . import ring  # normal_form is looked up on the module, where perfbench/tracing.py wraps it
 from .combinatorics import (
@@ -31,6 +32,7 @@ from .ring import (
     Pair,
     Polynomial,
     _Q0,
+    _Q1,
     _merge_exps,
     _trusted,
     rewrite_to_base,
@@ -68,19 +70,28 @@ class Certificate:
             seen.add(entry.block.left)
 
 
-# Most labels ``decompose`` accepts.  It bounds the label count, not the time:
-# at n = 5, g = 2 and the bound, x[1,2]^8*x[2,3]^8*x[3,4]^7*x[4,5]^7*x[5,1]^7
-# takes about 8 s and x[1,2]^37 did not finish in 600 s; an n = 6 input found
-# no certificate within 30 s.
+# Most labels ``decompose`` accepts.  It bounds the label count, not the time;
+# CALL_LIMIT bounds the work.  The recursion runs on the entries of the
+# unit-coefficient monomial, with integer coefficients, so the time depends on
+# how the degree is spread over the pairs and not on the input coefficient.
 LABEL_LIMIT = 5
 
-Terms = dict[Exponents, Fraction]
+# Most ``_decompose_entries`` calls one ``decompose`` makes.  At n = 5, g = 2
+# and the bound, x[1,2]^8*x[2,3]^8*x[3,4]^7*x[4,5]^7*x[5,1]^7 makes 220,030
+# calls, near the median of 48 seeded random monomials there, but the tail is
+# long: 20 of them make more than 500,000 calls and 3 from 2,000,000 to
+# 4,665,923.  Four of them and x[1,2]^37 make more than the limit and raise
+# SizeLimitError.
+CALL_LIMIT = 5_000_000
+
+Terms = dict[Exponents, int]
 Entries = dict[tuple[Label, ...], Terms]  # left part -> cofactor terms
 
 
 def _base_entries(mono: Monomial, g: int) -> Entries:
     """Closed form over two labels {u,v}: x[u,v]^a * x[v,u]^b with a+b >= 2g
-    becomes coeff * (-1)^b * x[u,v]^(a+b-2g) on the block {u} x {v}."""
+    becomes (-1)^b * x[u,v]^(a+b-2g) on the block {u} x {v}; the coefficient
+    of ``mono`` is left to the caller."""
     ground = mono.ground
     if len(ground) != 2:
         raise PreconditionError(f"closed form needs exactly 2 labels, got {ground.elements}")
@@ -89,17 +100,19 @@ def _base_entries(mono: Monomial, g: int) -> Entries:
     b = mono.exponent((v, u))
     if a + b < 2 * g:
         raise PreconditionError(f"degree {a + b} below 2g = {2 * g}")
-    coeff = -mono.coeff if b & 1 else mono.coeff
     residual = a + b - 2 * g
     exps: Exponents = (((u, v), residual),) if residual else ()
-    return {(u,): {exps: coeff}}
+    return {(u,): {exps: -1 if b & 1 else 1}}
 
 
 def _certificate(mono: Monomial, g: int, entries: Entries) -> Certificate:
-    """The certificate of ``mono`` with its entries sorted by left part."""
+    """The certificate of ``mono`` from the entries of its unit-coefficient
+    monomial, each scaled by ``mono.coeff``, sorted by left part."""
     ground = mono.ground
+    coeff = mono.coeff
     return Certificate(ground, g, mono, tuple(
-        CertificateEntry(Block(ground, left), Polynomial.from_map(ground, entries[left]))
+        CertificateEntry(Block(ground, left),
+                         Polynomial.from_map(ground, {e: coeff * c for e, c in entries[left].items()}))
         for left in sorted(entries)
     ))
 
@@ -152,22 +165,32 @@ def merge_blocks(outer: Block, inner: Block, ground: IndexSet,
     return merged, leftover
 
 
-def _add_product(acc: Terms, terms: Terms, factor: Exponents) -> None:
-    """Add ``terms`` times the monomial ``factor`` into ``acc``; zero sums are kept."""
+def _add_product(acc: Terms, terms: Terms, factor: Exponents, scale: int = 1) -> None:
+    """Add ``scale`` times ``terms`` times the monomial ``factor`` into ``acc``; zero sums are kept."""
     for exps, coeff in terms.items():
         key = _merge_exps(exps, factor)
-        acc[key] = acc.get(key, _Q0) + coeff
+        acc[key] = acc.get(key, 0) + scale * coeff
 
 
-def _decompose_entries(mono: Monomial, g: int) -> Entries:
-    """Nonzero certificate entries of ``mono``, with terms over its ground set.
+def _decompose_entries(mono: Monomial, g: int, budget: Iterator[int]) -> Entries:
+    """Nonzero certificate entries of the unit-coefficient monomial with the
+    exponents of ``mono``, with integer terms over its ground set.
 
-    Each entry over the ground set minus the pivot is lifted in two phases.
-    Phase 1 routes and recurses, adding each inner cofactor term times its
-    spare pairs into a bucket per (branch, inner left part).  Phase 2 merges
-    each bucket's block pair once and adds the bucket, times the leftover
-    pairs^(2g), into the merged block's entry.  Zero sums are dropped at return.
+    The recursion is linear in the coefficient, so it runs on unit-coefficient
+    monomials, where every binomial, sign and closed form is an integer, and
+    ``_certificate`` applies the input's coefficient once.  Each entry over the
+    ground set minus the pivot is lifted in two phases.  Phase 1 routes and
+    recurses, adding each inner cofactor term times its spare pairs and its
+    integer coefficient into a bucket per (branch, inner left part).  Phase 2
+    merges each bucket's block pair once and adds the bucket, times the
+    leftover pairs^(2g), into the merged block's entry.  Zero sums are dropped
+    at return.  Each call takes one item of ``budget``, shared by the whole
+    recursion, and raises SizeLimitError when it is empty.
     """
+    if next(budget, None) is None:
+        raise SizeLimitError(
+            f"decompose needs more than {CALL_LIMIT} recursive calls, above its work budget"
+        )
     ground = mono.ground
     if len(ground) == 2:
         return _base_entries(mono, g)
@@ -179,16 +202,17 @@ def _decompose_entries(mono: Monomial, g: int) -> Entries:
     acc: Entries = {}
     # Below, every Monomial, Block and IndexSet is built from parts validated
     # at the top-level call, so none of them is checked again.
-    outer_mono = _trusted(Monomial, ground=outer_ground, coeff=rest.coeff, exps=rest.exps)
-    for outer_left, theta in _decompose_entries(outer_mono, g).items():
+    outer_mono = _trusted(Monomial, ground=outer_ground, coeff=_Q1, exps=rest.exps)
+    for outer_left, theta in _decompose_entries(outer_mono, g, budget).items():
         outer_block = _trusted(Block, ground=outer_ground, left=outer_left)
         left, right = outer_block.left, outer_block.right
         sub_grounds = {side: _trusted(IndexSet, elements=tuple(sorted(part + (pivot,))))
                        for side, part in (("H", left), ("W", right))}
         buckets: dict[tuple[str, tuple[Label, ...]], Terms] = {}  # (branch, inner left) -> terms
         for exps, coeff in theta.items():
-            lifted = _trusted(Monomial, ground=ground, coeff=touching.coeff * coeff,
-                              exps=_merge_exps(touching.exps, exps))
+            # lifted has coefficient one, so every term it rewrites to has an
+            # integer coefficient and p.coeff.numerator below is exact
+            lifted = _trusted(Monomial, ground=ground, coeff=_Q1, exps=_merge_exps(touching.exps, exps))
             for p in rewrite_to_base(lifted, pivot).terms:
                 choice = branch_of_split(p, pivot, left, right, g)
                 sub_ground = sub_grounds[choice.side]
@@ -199,13 +223,13 @@ def _decompose_entries(mono: Monomial, g: int) -> Entries:
                 degree = sum(e for _, e in chosen)
                 if degree < choice.degree_bound:
                     raise RuntimeError(
-                        "internal consistency failure: sub-monomial "
-                        f"{p.coeff}*{chosen} over ground {labels} "
+                        f"internal consistency failure: sub-monomial {chosen} over ground {labels} "
                         f"with g={g} has degree {degree}, below {choice.degree_bound}"
                     )
-                selected = _trusted(Monomial, ground=sub_ground, coeff=p.coeff, exps=chosen)
-                for inner_left, phi in _decompose_entries(selected, g).items():
-                    _add_product(buckets.setdefault((choice.side, inner_left), {}), phi, spare)
+                selected = _trusted(Monomial, ground=sub_ground, coeff=_Q1, exps=chosen)
+                scale = p.coeff.numerator * coeff
+                for inner_left, phi in _decompose_entries(selected, g, budget).items():
+                    _add_product(buckets.setdefault((choice.side, inner_left), {}), phi, spare, scale)
         for (side, inner_left), terms in buckets.items():
             inner_block = _trusted(Block, ground=sub_grounds[side], left=inner_left)
             merged, leftover = merge_blocks(outer_block, inner_block, ground, side)
@@ -219,10 +243,11 @@ def decompose(mono: Monomial, g: int) -> Certificate:
     """Certificate expressing ``mono`` through block monomials, built recursively.
 
     Requires deg(mono) >= vanishing_bound(n, g) for the n labels of its
-    ground set, and n <= LABEL_LIMIT (else SizeLimitError).  Deterministic:
-    pivots are the smallest qualifying labels, branch ties prefer "H", and
-    entries are aggregated per block with the smallest label kept in the right
-    part (two-label grounds keep the closed form as is).
+    ground set, n <= LABEL_LIMIT and at most CALL_LIMIT recursive calls (else
+    SizeLimitError).  Deterministic: pivots are the smallest qualifying
+    labels, branch ties prefer "H", and entries are aggregated per block with
+    the smallest label kept in the right part (two-label grounds keep the
+    closed form as is).
     """
     if not isinstance(mono, Monomial):
         raise PreconditionError(f"decompose expects a monomial, got {type(mono).__name__}")
@@ -234,7 +259,7 @@ def decompose(mono: Monomial, g: int) -> Certificate:
         raise PreconditionError(
             f"degree {mono.degree} below the vanishing bound {bound} for n={n}, g={g}"
         )
-    return _certificate(mono, g, _decompose_entries(mono, g))
+    return _certificate(mono, g, _decompose_entries(mono, g, iter(range(CALL_LIMIT))))
 
 
 def verify_certificate(cert: Certificate) -> bool:

@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from typing import Iterable, Iterator, Mapping
 
 from .errors import GroundMismatchError, PreconditionError, SizeLimitError
@@ -165,6 +166,13 @@ class Monomial:
             raise PreconditionError(f"monomial coefficient must be an int or a Fraction, got {self.coeff!r}")
         if self.coeff == 0:
             raise PreconditionError("monomial coefficient must be nonzero")
+        # a list, even inside the tuple, would pass the checks below and then fail hash()
+        if type(self.exps) is not tuple:
+            raise PreconditionError(f"monomial exps must be a tuple, got {type(self.exps).__name__}")
+        try:
+            hash(self.exps)
+        except TypeError:
+            raise PreconditionError(f"monomial exps must hold tuples only, got {self.exps!r}") from None
         _require_ring_ground(self.ground)
         labels = self.ground.elements
         prev = None
@@ -221,6 +229,8 @@ class Polynomial:
     terms: tuple[Monomial, ...] = ()
 
     def __post_init__(self):
+        if type(self.terms) is not tuple:
+            raise PreconditionError(f"polynomial terms must be a tuple, got {type(self.terms).__name__}")
         _require_ring_ground(self.ground)
         prev = None
         for t in self.terms:
@@ -384,20 +394,31 @@ def _expand_monomial(
 
 def _packed_to_poly(ground: IndexSet, base: Label, units: dict[Label, int], bits: int,
                     acc: Mapping[int, int], scale: int) -> Polynomial:
-    """The sum of c/scale * x^key over ``acc``, each key unpacked into ``bits``-wide fields."""
+    """The sum of c/scale * x^key over ``acc``, each key unpacked into ``bits``-wide fields.
+
+    Terms are sorted by one integer each: the degree above the fields, read
+    first label first.  Descending, that is the order of ``Monomial.sort_key``.
+    """
     mask = (1 << bits) - 1
-    terms = []
+    top = bits * len(units)
+    keyed = []
     for key, c in acc.items():  # c is nonzero: _expand_monomial drops zero sums
         exps = []
+        order = degree = 0
+        shift = top
         for lab in units:
             if not key:
                 break
+            shift -= bits  # the first label's field on top
             if e := key & mask:
                 exps.append(((base, lab), e))
+                order += e << shift
+                degree += e
             key >>= bits
-        terms.append(_trusted(Monomial, ground=ground, coeff=Fraction(c, scale), exps=tuple(exps)))
-    terms.sort(key=Monomial.sort_key)
-    return _trusted(Polynomial, ground=ground, terms=tuple(terms))
+        coeff = Fraction(c) if scale == 1 else Fraction(c, scale)  # the int case skips a gcd
+        keyed.append((order + (degree << top), _trusted(Monomial, ground=ground, coeff=coeff, exps=tuple(exps))))
+    keyed.sort(key=itemgetter(0), reverse=True)  # keys are distinct: the order is total
+    return _trusted(Polynomial, ground=ground, terms=tuple([m for _, m in keyed]))
 
 
 def _to_base(ground: IndexSet, terms: tuple[Monomial, ...], base: Label) -> Polynomial:

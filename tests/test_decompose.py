@@ -15,6 +15,7 @@ from blockcert import (
     Monomial,
     Polynomial,
     PreconditionError,
+    SizeLimitError,
     base_certificate,
     decompose,
     enumerate_blocks,
@@ -231,6 +232,61 @@ def test_decompose_soundness_random_sample():
             comp = sample_composition(deg, len(pairs), rng)
             mono = Monomial.make(ground, rng.choice([1, -2, Fraction(3, 7)]), dict(zip(pairs, comp)))
             assert verify_certificate(decompose(mono, g))
+
+
+def test_decompose_is_linear_in_the_coefficient():
+    rng = random.Random(26)
+    for n, g in ((3, 2), (4, 2)):
+        mono = random_monomial(rng, standard_ground(n), vanishing_bound(n, g), unit_coeff=True)
+        unit = decompose(mono, g)
+        for c in (Fraction(-3, 4), Fraction(2), Fraction(5, 3)):
+            scaled = decompose(Monomial(mono.ground, c, mono.exps), g)
+            assert [e.block for e in scaled.entries] == [e.block for e in unit.entries]
+            for got, want in zip(scaled.entries, unit.entries):
+                assert [(t.exps, t.coeff) for t in got.cofactor.terms] == \
+                    [(t.exps, c * t.coeff) for t in want.cofactor.terms]
+
+
+def test_decompose_entries_have_integer_coefficients():
+    # blockcert.decompose is the function; the module is in sys.modules
+    dec = sys.modules["blockcert.decompose"]
+    rng = random.Random(27)
+    for n, g in ((3, 2), (4, 2)):
+        mono = random_monomial(rng, standard_ground(n), vanishing_bound(n, g), unit_coeff=True)
+        scaled = Monomial(mono.ground, Fraction(-3, 4), mono.exps)
+        entries = dec._decompose_entries(scaled, g, iter(range(dec.CALL_LIMIT)))
+        assert entries == dec._decompose_entries(mono, g, iter(range(dec.CALL_LIMIT)))
+        assert entries and all(type(c) is int for terms in entries.values() for c in terms.values())
+
+
+def test_decompose_pure_power_at_the_bound():
+    # every degree on one pair: the input the pivot rule handles worst at n = 4
+    mono = Monomial.make(X4, 1, {(1, 2): 22})
+    assert verify_certificate(decompose(mono, 2))
+
+
+def test_decompose_work_budget(monkeypatch):
+    dec = sys.modules["blockcert.decompose"]
+    mono = Monomial.make(X4, Fraction(-1, 2), {(1, 2): 6, (2, 3): 6, (3, 4): 5, (4, 1): 5})
+    calls = 0
+    original = dec._decompose_entries
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return original(*args)
+
+    monkeypatch.setattr(dec, "_decompose_entries", counting)
+    expected = decompose(mono, 2)
+    monkeypatch.setattr(dec, "_decompose_entries", original)
+    assert calls > 1
+    # the budget counts the calls of one decompose: exactly enough passes, twice in a row
+    monkeypatch.setattr(dec, "CALL_LIMIT", calls)
+    assert decompose(mono, 2) == expected
+    assert decompose(mono, 2) == expected
+    monkeypatch.setattr(dec, "CALL_LIMIT", calls - 1)
+    with pytest.raises(SizeLimitError, match="work budget"):
+        decompose(mono, 2)
 
 
 def test_decompose_rejects_non_monomial():

@@ -70,6 +70,12 @@ def test_monomial_validation():
     for coeff in (0.1, "1/3", True):
         with pytest.raises(PreconditionError):
             Monomial(X3, coeff)
+    # exps and terms are tuples, down to each item and pair: a list would fail hash()
+    for exps in ([((1, 2), 1)], (([1, 2], 1),), ([(1, 2), 1],), frozenset({((1, 2), 1)})):
+        with pytest.raises(PreconditionError, match="tuple"):
+            Monomial(X3, 1, exps)
+    with pytest.raises(PreconditionError, match="tuple"):
+        Polynomial(X3, [Monomial(X3, 1, (((1, 2), 1),))])
     assert Monomial(X3, 2).coeff == Fraction(2) and type(Monomial(X3, 2).coeff) is Fraction
 
 
