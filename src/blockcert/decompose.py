@@ -9,8 +9,8 @@ nothing but normal forms, so the two sides act as independent witnesses.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterator
 
 from . import ring  # normal_form is looked up on the module, where perfbench/tracing.py wraps it
@@ -31,9 +31,13 @@ from .ring import (
     Monomial,
     Pair,
     Polynomial,
-    _Q0,
     _Q1,
+    _base_units,
+    _block_form,
+    _expand_monomial,
     _merge_exps,
+    _packed_terms,
+    _require_expandable,
     _trusted,
     rewrite_to_base,
 )
@@ -265,26 +269,39 @@ def decompose(mono: Monomial, g: int) -> Certificate:
 def verify_certificate(cert: Certificate) -> bool:
     """Check a certificate using normal forms only.
 
-    True iff every entry is homogeneous of the right degree, with
-    deg(cofactor) + 2g * |left| * |right| = deg(input), and
-    NF(input - sum of cofactor * block monomial) = 0.  Structural defects are
+    True iff every entry has a nonzero cofactor, homogeneous of degree
+    deg(input) - 2g * |left| * |right|, and NF(input) = sum over entries of
+    NF(block monomial) * NF(cofactor).  The normal form is a ring
+    homomorphism, so this is NF(input - sum of cofactor * block monomial) = 0.
+    Each NF(cofactor) comes from ``normal_form``, each NF(block monomial) from
+    the binomial expansion of its pairs, and the products are summed as
+    integers, scaled by one lcm of every denominator, on exponent vectors
+    packed with fields as wide as the input degree.  Structural defects are
     rejected at construction time with MalformedCertificateError, never
-    reported as False here.
+    reported as False here; an input term above EXPANSION_LIMIT raises
+    SizeLimitError.
     """
     zeta = cert.input
+    degree = zeta.degree
     two_g = 2 * cert.g
-    acc: dict[Exponents, Fraction] = {zeta.exps: zeta.coeff}
     for entry in cert.entries:
-        target = zeta.degree - two_g * entry.block.pair_count
+        target = degree - two_g * entry.block.pair_count
         cofactor = entry.cofactor
         if cofactor.is_zero or any(t.degree != target for t in cofactor.terms):
             return False
-        block_exps = tuple((pair, two_g) for pair in entry.block.pairs)
-        for t in cofactor.terms:
-            key = _merge_exps(t.exps, block_exps)
-            acc[key] = acc.get(key, _Q0) - t.coeff
-    # every term merges exps of the validated input, cofactors and blocks
+    # Every product below has the input's degree, so fields as wide as it never carry.
     ground = cert.ground
-    terms = [_trusted(Monomial, ground=ground, coeff=c, exps=exps) for exps, c in acc.items() if c]
-    terms.sort(key=Monomial.sort_key)
-    return ring.normal_form(_trusted(Polynomial, ground=ground, terms=tuple(terms))).is_zero
+    _require_expandable(degree, len(ground) - 1)
+    base = ground.min()
+    units = _base_units(ground, base, degree.bit_length() or 1)
+    forms = [ring.normal_form(entry.cofactor).terms for entry in cert.entries]
+    scale = math.lcm(zeta.coeff.denominator, *(t.coeff.denominator for terms in forms for t in terms))
+    acc: dict[int, int] = {}
+    _expand_monomial(-zeta.coeff.numerator * (scale // zeta.coeff.denominator), zeta.exps, base, units, acc)
+    for entry, terms in zip(cert.entries, forms):
+        cofactor = list(_packed_terms(terms, units, scale))
+        for block_key, block_coeff in _block_form(entry.block.pairs, two_g, base, units).items():
+            for key, coeff in cofactor:
+                at = block_key + key
+                acc[at] = acc.get(at, 0) + block_coeff * coeff
+    return not any(acc.values())

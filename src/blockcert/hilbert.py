@@ -21,7 +21,7 @@ from typing import Iterable, Sequence
 
 from .combinatorics import _require_g, enumerate_blocks, iter_compositions
 from .errors import PreconditionError, SizeLimitError
-from .ring import IndexSet, Polynomial, _base_units, _expand_monomial, normal_form
+from .ring import IndexSet, Polynomial, _base_units, _block_form, _packed_terms, normal_form
 
 SIZE_LIMIT = 1_000_000  # rows x columns of one slice's matrix
 
@@ -143,9 +143,7 @@ class BlockIdealSlice:
             )
         space = IntRowSpace(len(columns))
         for block, remaining in blocks:
-            generator: dict[int, int] = {}
-            _expand_monomial(1, tuple((pair, 2 * self.g) for pair in block.pairs),
-                             self.ground.min(), units, generator)
+            generator = _block_form(block.pairs, 2 * self.g, self.ground.min(), units)
             for shift in iter_compositions(remaining, width):
                 if space.rank == len(columns):
                     return space  # already full
@@ -172,9 +170,8 @@ class BlockIdealSlice:
         terms = normal_form(p).terms
         scale = math.lcm(*(t.coeff.denominator for t in terms))
         row = [0] * len(columns)
-        for t in terms:
-            key = sum(e * units[j] for (_, j), e in t.exps)
-            row[columns[key]] = t.coeff.numerator * (scale // t.coeff.denominator)
+        for key, c in _packed_terms(terms, units, scale):
+            row[columns[key]] = c
         return self._space.contains(row)
 
 

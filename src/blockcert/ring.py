@@ -176,18 +176,23 @@ class Monomial:
         _require_ring_ground(self.ground)
         labels = self.ground.elements
         prev = None
-        for (i, j), e in self.exps:
-            if type(i) is not int or type(j) is not int:
-                raise PreconditionError(f"variable x[{i!r},{j!r}] must have integer labels")
-            if i == j:
-                raise PreconditionError(f"variable x[{i},{j}] has equal indices")
-            if i not in labels or j not in labels:
-                raise PreconditionError(f"variable x[{i},{j}] outside ground set {self.ground.elements}")
-            if type(e) is not int or e <= 0:
-                raise PreconditionError(f"exponent of x[{i},{j}] must be a positive integer, got {e!r}")
-            if prev is not None and prev >= (i, j):
-                raise PreconditionError("exponent pairs must be strictly ascending")
-            prev = (i, j)
+        try:  # the unpacking below is the only raise of TypeError or ValueError in this loop
+            for (i, j), e in self.exps:
+                if type(i) is not int or type(j) is not int:
+                    raise PreconditionError(f"variable x[{i!r},{j!r}] must have integer labels")
+                if i == j:
+                    raise PreconditionError(f"variable x[{i},{j}] has equal indices")
+                if i not in labels or j not in labels:
+                    raise PreconditionError(f"variable x[{i},{j}] outside ground set {self.ground.elements}")
+                if type(e) is not int or e <= 0:
+                    raise PreconditionError(f"exponent of x[{i},{j}] must be a positive integer, got {e!r}")
+                if prev is not None and prev >= (i, j):
+                    raise PreconditionError("exponent pairs must be strictly ascending")
+                prev = (i, j)
+        except (TypeError, ValueError):
+            raise PreconditionError(
+                f"monomial exps must hold ((i, j), e) pairs, got {self.exps!r}"
+            ) from None
 
     @classmethod
     def make(cls, ground: IndexSet, coeff, exps: Mapping[Pair, int] | Iterable = ()) -> "Monomial":
@@ -338,6 +343,17 @@ def _base_units(ground: IndexSet, base: Label, bits: int) -> dict[Label, int]:
     return {lab: 1 << (bits * k) for k, lab in enumerate(others)}
 
 
+def _require_expandable(degree: int, width: int) -> None:
+    """Raise SizeLimitError when a term of ``degree`` over ``width`` base
+    variables measures above EXPANSION_LIMIT."""
+    size = degree * math.comb(degree + width - 1, width - 1)
+    if size > EXPANSION_LIMIT:
+        raise SizeLimitError(
+            f"expanding a term of degree {degree} over {width} base variables measures "
+            f"{size}, above the limit {EXPANSION_LIMIT}"
+        )
+
+
 def _expand_monomial(
     coeff: int,
     exps: Exponents,
@@ -392,6 +408,25 @@ def _expand_monomial(
             acc.pop(key, None)
 
 
+def _block_form(pairs: Iterable[Pair], power: int, base: Label, units: dict[Label, int]) -> dict[int, int]:
+    """The packed base-variable expansion of the product of x[i,j]^power over ``pairs``."""
+    acc: dict[int, int] = {}
+    _expand_monomial(1, tuple((pair, power) for pair in pairs), base, units, acc)
+    return acc
+
+
+def _packed_terms(terms: Iterable[Monomial], units: dict[Label, int],
+                  scale: int) -> Iterator[tuple[int, int]]:
+    """(packed key, coefficient * ``scale``) of each term in the base variables.
+
+    ``scale`` must be a multiple of every coefficient's denominator, so each
+    scaled coefficient is an integer.
+    """
+    for t in terms:
+        c = t.coeff
+        yield sum(e * units[j] for (_, j), e in t.exps), c.numerator * (scale // c.denominator)
+
+
 def _packed_to_poly(ground: IndexSet, base: Label, units: dict[Label, int], bits: int,
                     acc: Mapping[int, int], scale: int) -> Polynomial:
     """The sum of c/scale * x^key over ``acc``, each key unpacked into ``bits``-wide fields.
@@ -434,12 +469,7 @@ def _to_base(ground: IndexSet, terms: tuple[Monomial, ...], base: Label) -> Poly
     top = 0
     for t in terms:
         degree = t.degree
-        size = degree * math.comb(degree + width - 1, width - 1)
-        if size > EXPANSION_LIMIT:
-            raise SizeLimitError(
-                f"expanding a term of degree {degree} over {width} base variables measures "
-                f"{size}, above the limit {EXPANSION_LIMIT}"
-            )
+        _require_expandable(degree, width)
         top = max(top, degree)
     bits = top.bit_length() or 1
     units = _base_units(ground, base, bits)

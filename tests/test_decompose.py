@@ -17,8 +17,10 @@ from blockcert import (
     PreconditionError,
     SizeLimitError,
     base_certificate,
+    certificate_to_json,
     decompose,
     enumerate_blocks,
+    eq_mod_relations,
     merge_blocks,
     normal_form,
     rewrite_to_base,
@@ -27,7 +29,7 @@ from blockcert import (
     verify_certificate,
 )
 from helpers import ordered_pairs, random_monomial, random_poly, sample_composition, standard_ground
-from test_golden import golden_inputs
+from test_golden import above_bound_inputs, golden_inputs
 
 X2 = IndexSet((1, 2))
 X3 = IndexSet((1, 2, 3))
@@ -365,10 +367,69 @@ def test_verified_certificate_witnesses_ideal_membership():
     mono = Monomial.make(X3, 1, {(1, 2): 6, (2, 3): 5})
     cert = decompose(mono, 2)
     assert verify_certificate(cert)
-    total = Polynomial.zero(X3)
+    assert claimed_sum_matches(cert)
+
+
+def claimed_sum_matches(cert):
+    """The verifier's claim by Polynomial arithmetic: input = sum of cofactor * block monomial."""
+    total = Polynomial.zero(cert.ground)
     for entry in cert.entries:
-        total = total + entry.cofactor * block_monomial(X3, entry.block, 2).as_poly()
-    assert normal_form(mono.as_poly() - total).is_zero
+        total = total + entry.cofactor * block_monomial(cert.ground, entry.block, cert.g).as_poly()
+    return eq_mod_relations(cert.input.as_poly(), total)
+
+
+def perturbed_certificates(cert):
+    """The certificate with its first cofactor term's coefficient nudged by 1/1009, and
+    with that term moved to another block of the same size (the transpose at two labels)."""
+    ground = cert.ground
+    first, *rest = cert.entries
+    head, *tail = first.cofactor.terms
+    nudged = Monomial(ground, head.coeff + Fraction(1, 1009), head.exps)
+    yield Certificate(ground, cert.g, cert.input,
+                      (CertificateEntry(first.block, Polynomial(ground, (nudged, *tail))), *rest))
+    same_size = [b for b in enumerate_blocks(ground)
+                 if b != first.block and b.pair_count == first.block.pair_count]
+    existing = [e.block for e in rest if e.block in same_size]
+    target = (existing or same_size)[0]
+    cofactors = {e.block: e.cofactor for e in cert.entries}
+    cofactors[first.block] = cofactors[first.block] - head.as_poly()
+    cofactors[target] = cofactors.get(target, Polynomial.zero(ground)) + head.as_poly()
+    # an emptied entry is dropped: a zero cofactor is refused whatever the sum
+    yield Certificate(ground, cert.g, cert.input,
+                      tuple(CertificateEntry(b, c) for b, c in cofactors.items() if not c.is_zero))
+
+
+def test_verify_agrees_with_polynomial_arithmetic():
+    """On both golden corpora and two perturbations of each certificate, the
+    packed-key verifier answers exactly as input = sum of cofactor * block monomial."""
+    certs = [decompose(mono, g) for mono, g in golden_inputs()]
+    certs += [build(mono, g) for build, mono, g in above_bound_inputs()]
+    answers = {True: 0, False: 0}
+    for cert in certs:
+        assert verify_certificate(cert) and claimed_sum_matches(cert)
+        for bad in perturbed_certificates(cert):
+            answer = verify_certificate(bad)
+            assert answer == claimed_sum_matches(bad), certificate_to_json(bad)
+            answers[answer] += 1
+    # the nudge always breaks the claim; a move between transposes keeps it
+    assert answers[False] >= len(certs) and answers[True] > 0
+
+
+def test_verify_tells_apart_every_base_monomial_of_the_degree():
+    """A certificate of one base monomial fails for every other of its degree.
+
+    Degree 22 packs into 5-bit fields.  With fields of b = 1 to 4 bits, the key
+    of x[1,2]^16*x[1,4]^6 equals that of another degree-22 base monomial (at
+    b = 4, 16 + 6 * 256 = 17 * 16 + 5 * 256 for x[1,3]^17*x[1,4]^5), so a
+    verifier with fields too narrow would accept one of these claims.
+    """
+    cert = decompose(Monomial.make(X4, 1, {(1, 2): 16, (1, 4): 6}), 2)
+    assert verify_certificate(cert)
+    for a in range(23):
+        for b in range(23 - a):
+            if (a, 22 - a - b) != (16, 6):
+                other = Monomial.make(X4, 1, {(1, 2): a, (1, 3): b, (1, 4): 22 - a - b})
+                assert not verify_certificate(Certificate(X4, 2, other, cert.entries))
 
 
 # -- derived values ------------------------------------------------------------------

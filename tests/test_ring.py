@@ -76,6 +76,10 @@ def test_monomial_validation():
             Monomial(X3, 1, exps)
     with pytest.raises(PreconditionError, match="tuple"):
         Polynomial(X3, [Monomial(X3, 1, (((1, 2), 1),))])
+    # every exps item is a ((i, j), e) pair
+    for exps in (((1, 2),), (((1, 2), 3, 4),), (((1, 2, 3), 1),)):
+        with pytest.raises(PreconditionError, match="pairs"):
+            Monomial(X3, 1, exps)
     assert Monomial(X3, 2).coeff == Fraction(2) and type(Monomial(X3, 2).coeff) is Fraction
 
 
