@@ -69,7 +69,10 @@ class _Scanner:
         start = self.pos
         while self.pos < len(self.text) and self.text[self.pos] in _DIGITS:
             self.pos += 1
-        return int(self.text[start:self.pos])
+        try:
+            return int(self.text[start:self.pos])
+        except ValueError:  # more digits than the interpreter converts
+            raise ParseError(f"integer of {self.pos - start} digits is too long", start) from None
 
 
 def parse_poly(text: str, ground: IndexSet) -> Polynomial:
@@ -322,7 +325,11 @@ def _cmd_verify(args) -> int:
                 text = handle.read()
     except (UnicodeDecodeError, UnicodeEncodeError) as exc:
         raise MalformedCertificateError(f"certificate is not UTF-8 text: {exc}") from exc
-    valid = verify_certificate(certificate_from_json(json.loads(text, object_pairs_hook=_unique_keys)))
+    try:
+        obj = json.loads(text, object_pairs_hook=_unique_keys)
+    except (ValueError, RecursionError) as exc:  # also over-long integers and deep nesting
+        raise MalformedCertificateError(f"bad certificate JSON: {exc}") from exc
+    valid = verify_certificate(certificate_from_json(obj))
     print("true" if valid else "false")
     return 0 if valid else 1
 
@@ -447,7 +454,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.handler(args)
-    except (ParseError, MalformedCertificateError, json.JSONDecodeError, OSError) as exc:
+    except (ParseError, MalformedCertificateError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except PreconditionError as exc:

@@ -9,7 +9,6 @@ nothing but normal forms, so the two sides act as independent witnesses.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -32,11 +31,9 @@ from .ring import (
     Pair,
     Polynomial,
     _Q1,
-    _base_units,
-    _block_form,
-    _expand_monomial,
+    _BaseKeys,
+    _common_denominator,
     _merge_exps,
-    _packed_terms,
     _require_expandable,
     _trusted,
     rewrite_to_base,
@@ -275,8 +272,8 @@ def verify_certificate(cert: Certificate) -> bool:
     homomorphism, so this is NF(input - sum of cofactor * block monomial) = 0.
     Each NF(cofactor) comes from ``normal_form``, each NF(block monomial) from
     the binomial expansion of its pairs, and the products are summed as
-    integers, scaled by one lcm of every denominator, on exponent vectors
-    packed with fields as wide as the input degree.  Structural defects are
+    integers, scaled by one common denominator, on the packed keys of
+    ``ring._BaseKeys`` for the input degree.  Structural defects are
     rejected at construction time with MalformedCertificateError, never
     reported as False here; an input term above EXPANSION_LIMIT raises
     SizeLimitError.
@@ -289,18 +286,17 @@ def verify_certificate(cert: Certificate) -> bool:
         cofactor = entry.cofactor
         if cofactor.is_zero or any(t.degree != target for t in cofactor.terms):
             return False
-    # Every product below has the input's degree, so fields as wide as it never carry.
+    # Every product below has the input's degree, so keys for that degree never carry.
     ground = cert.ground
     _require_expandable(degree, len(ground) - 1)
-    base = ground.min()
-    units = _base_units(ground, base, degree.bit_length() or 1)
+    keys = _BaseKeys(ground, ground.min(), degree)
     forms = [ring.normal_form(entry.cofactor).terms for entry in cert.entries]
-    scale = math.lcm(zeta.coeff.denominator, *(t.coeff.denominator for terms in forms for t in terms))
+    scale = _common_denominator((zeta, *(t for terms in forms for t in terms)))
     acc: dict[int, int] = {}
-    _expand_monomial(-zeta.coeff.numerator * (scale // zeta.coeff.denominator), zeta.exps, base, units, acc)
+    keys.expand(-zeta.coeff.numerator * (scale // zeta.coeff.denominator), zeta.exps, acc)
     for entry, terms in zip(cert.entries, forms):
-        cofactor = list(_packed_terms(terms, units, scale))
-        for block_key, block_coeff in _block_form(entry.block.pairs, two_g, base, units).items():
+        cofactor = list(keys.pack(terms, scale))
+        for block_key, block_coeff in keys.block(entry.block.pairs, two_g).items():
             for key, coeff in cofactor:
                 at = block_key + key
                 acc[at] = acc.get(at, 0) + block_coeff * coeff

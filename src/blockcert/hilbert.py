@@ -14,14 +14,13 @@ rank, with no floating point anywhere.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
-from .combinatorics import _require_g, enumerate_blocks, iter_compositions
+from .combinatorics import _require_g, enumerate_blocks
 from .errors import PreconditionError, SizeLimitError
-from .ring import IndexSet, Polynomial, _base_units, _block_form, _packed_terms, normal_form
+from .ring import IndexSet, Polynomial, _BaseKeys, _common_denominator, normal_form
 
 SIZE_LIMIT = 1_000_000  # rows x columns of one slice's matrix
 
@@ -119,36 +118,29 @@ class BlockIdealSlice:
 
     @cached_property
     def _layout(self):
-        # columns keyed by packed exponent vectors, fields wide enough for the degree
-        units = _base_units(self.ground, self.ground.min(), self.degree.bit_length() or 1)
-        columns = {
-            sum(map(operator.mul, comp, units.values())): k
-            for k, comp in enumerate(iter_compositions(self.degree, len(units)))
-        }
-        return units, columns
+        keys = _BaseKeys(self.ground, self.ground.min(), self.degree)
+        return keys, {key: k for k, key in enumerate(keys.of_degree(self.degree))}
 
     @cached_property
     def _space(self) -> IntRowSpace:
-        units, columns = self._layout
-        width = len(units)
+        width = len(self.ground) - 1
+        ncols = dim_ring_graded(len(self.ground), self.degree)
         blocks = [
             (block, self.degree - 2 * self.g * block.pair_count)
             for block in enumerate_blocks(self.ground)
             if self.ground.min() in block.right and self.degree >= 2 * self.g * block.pair_count
         ]
         nrows = sum(math.comb(remaining + width - 1, width - 1) for _, remaining in blocks)
-        if nrows * len(columns) > SIZE_LIMIT:
-            raise SizeLimitError(
-                f"{nrows} rows x {len(columns)} columns exceeds the limit {SIZE_LIMIT}"
-            )
-        space = IntRowSpace(len(columns))
+        if nrows * ncols > SIZE_LIMIT:  # checked before any row or column is built
+            raise SizeLimitError(f"{nrows} rows x {ncols} columns exceeds the limit {SIZE_LIMIT}")
+        keys, columns = self._layout
+        space = IntRowSpace(ncols)
         for block, remaining in blocks:
-            generator = _block_form(block.pairs, 2 * self.g, self.ground.min(), units)
-            for shift in iter_compositions(remaining, width):
-                if space.rank == len(columns):
+            generator = keys.block(block.pairs, 2 * self.g)
+            for offset in keys.of_degree(remaining):
+                if space.rank == ncols:
                     return space  # already full
-                offset = sum(map(operator.mul, shift, units.values()))
-                row = [0] * len(columns)
+                row = [0] * ncols
                 for key, c in generator.items():
                     row[columns[key + offset]] = c
                 space.add(row)
@@ -166,13 +158,13 @@ class BlockIdealSlice:
             return True
         if not p.is_homogeneous() or p.degree != self.degree:
             raise PreconditionError(f"expected a homogeneous polynomial of degree {self.degree}")
-        units, columns = self._layout
+        space = self._space  # first: it checks the size before the columns are built
+        keys, columns = self._layout
         terms = normal_form(p).terms
-        scale = math.lcm(*(t.coeff.denominator for t in terms))
-        row = [0] * len(columns)
-        for key, c in _packed_terms(terms, units, scale):
+        row = [0] * space.ncols
+        for key, c in keys.pack(terms, _common_denominator(terms)):
             row[columns[key]] = c
-        return self._space.contains(row)
+        return space.contains(row)
 
 
 def block_ideal_slice(ground: IndexSet, g: int, d: int) -> BlockIdealSlice:

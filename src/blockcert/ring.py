@@ -176,23 +176,24 @@ class Monomial:
         _require_ring_ground(self.ground)
         labels = self.ground.elements
         prev = None
-        try:  # the unpacking below is the only raise of TypeError or ValueError in this loop
-            for (i, j), e in self.exps:
-                if type(i) is not int or type(j) is not int:
-                    raise PreconditionError(f"variable x[{i!r},{j!r}] must have integer labels")
-                if i == j:
-                    raise PreconditionError(f"variable x[{i},{j}] has equal indices")
-                if i not in labels or j not in labels:
-                    raise PreconditionError(f"variable x[{i},{j}] outside ground set {self.ground.elements}")
-                if type(e) is not int or e <= 0:
-                    raise PreconditionError(f"exponent of x[{i},{j}] must be a positive integer, got {e!r}")
-                if prev is not None and prev >= (i, j):
-                    raise PreconditionError("exponent pairs must be strictly ascending")
-                prev = (i, j)
-        except (TypeError, ValueError):
-            raise PreconditionError(
-                f"monomial exps must hold ((i, j), e) pairs, got {self.exps!r}"
-            ) from None
+        for item in self.exps:
+            try:
+                (i, j), e = item
+            except (TypeError, ValueError):
+                raise PreconditionError(
+                    f"monomial exps must hold ((i, j), e) pairs, got {self.exps!r}"
+                ) from None
+            if type(i) is not int or type(j) is not int:
+                raise PreconditionError(f"variable x[{i!r},{j!r}] must have integer labels")
+            if i == j:
+                raise PreconditionError(f"variable x[{i},{j}] has equal indices")
+            if i not in labels or j not in labels:
+                raise PreconditionError(f"variable x[{i},{j}] outside ground set {self.ground.elements}")
+            if type(e) is not int or e <= 0:
+                raise PreconditionError(f"exponent of x[{i},{j}] must be a positive integer, got {e!r}")
+            if prev is not None and prev >= (i, j):
+                raise PreconditionError("exponent pairs must be strictly ascending")
+            prev = (i, j)
 
     @classmethod
     def make(cls, ground: IndexSet, coeff, exps: Mapping[Pair, int] | Iterable = ()) -> "Monomial":
@@ -337,12 +338,6 @@ class Polynomial:
         return result
 
 
-def _base_units(ground: IndexSet, base: Label, bits: int) -> dict[Label, int]:
-    """Each non-base label, ascending, mapped to 1 << (bits * k) for the k-th."""
-    others = (lab for lab in ground if lab != base)
-    return {lab: 1 << (bits * k) for k, lab in enumerate(others)}
-
-
 def _require_expandable(degree: int, width: int) -> None:
     """Raise SizeLimitError when a term of ``degree`` over ``width`` base
     variables measures above EXPANSION_LIMIT."""
@@ -354,131 +349,146 @@ def _require_expandable(degree: int, width: int) -> None:
         )
 
 
-def _expand_monomial(
-    coeff: int,
-    exps: Exponents,
-    base: Label,
-    units: dict[Label, int],
-    acc: dict[int, int],
-) -> None:
-    """Accumulate the base-variable expansion of one term into ``acc``.
+def _common_denominator(terms: Iterable[Monomial]) -> int:
+    """The lcm of the coefficient denominators of ``terms``: times it, every coefficient is an integer."""
+    return math.lcm(*(t.coeff.denominator for t in terms))
 
-    Keys of ``acc`` are packed exponent vectors: the exponent of x[base, lab]
-    times ``units[lab]``, summed over the non-base labels.  Fields must be wide
-    enough for the term's degree, so that multiplying two base monomials is
-    adding their keys.  The coefficient is an integer and so is every binomial
-    and sign, so the whole expansion is integer multiply-adds; callers scale
-    rationals beforehand.
+
+class _BaseKeys:
+    """The packed integer key of every base monomial over ``ground`` of degree at most ``degree``.
+
+    A monomial in the variables x[base, lab] is keyed by one integer with a
+    ``bits``-wide field per non-base label, holding its exponent; ``units``
+    maps each label to 1 << (its field's offset).  The fields are as wide as
+    the bit length of ``degree``, so no exponent of a product within that
+    degree carries, and multiplying monomials is adding keys.  The first label's
+    field is on top, so of two keys of one degree the larger comes first in
+    ``Monomial.sort_key`` order.
     """
-    start = 0
-    negate = 0
-    powers: dict[Pair, int] = {}
-    for (i, j), e in exps:
-        if i == base:
-            start += e * units[j]
-        elif j == base:
-            # x[i,base] == -x[base,i] in the quotient
-            start += e * units[i]
-            negate ^= e & 1
-        else:
-            if i > j:
-                # x[i,j] == -x[j,i]: fold both orientations into one power
-                i, j = j, i
+
+    __slots__ = ("ground", "base", "bits", "units")
+
+    def __init__(self, ground: IndexSet, base: Label, degree: int):
+        self.ground = ground
+        self.base = base
+        self.bits = bits = degree.bit_length() or 1
+        self.units = units = {}
+        shift = bits * (len(ground) - 1)
+        for lab in ground.elements:  # a plain loop: it runs once per rewrite, and is the cheapest build
+            if lab != base:
+                shift -= bits
+                units[lab] = 1 << shift
+
+    def expand(self, coeff: int, exps: Exponents, acc: dict[int, int]) -> None:
+        """Add the base-variable expansion of coeff * prod x[i,j]^e over ``exps`` into ``acc``.
+
+        The coefficient is an integer and so is every binomial and sign, so
+        the whole expansion is integer multiply-adds; callers scale rationals
+        beforehand.  Sums that cancel leave ``acc``.
+        """
+        base, units = self.base, self.units
+        start = 0
+        negate = 0
+        powers: dict[Pair, int] = {}
+        for (i, j), e in exps:
+            if i == base:
+                start += e * units[j]
+            elif j == base:
+                # x[i,base] == -x[base,i] in the quotient
+                start += e * units[i]
                 negate ^= e & 1
-            powers[i, j] = powers.get((i, j), 0) + e
-    local = {start: -coeff if negate else coeff}
-    for (i, j), e in powers.items():
-        # x[i,j] == x[base,j] - x[base,i]; expand the e-th power exactly.
-        ui, uj = units[i], units[j]
-        expansion = [
-            (-math.comb(e, k) if (e - k) & 1 else math.comb(e, k), (e - k) * ui + k * uj)
-            for k in range(e + 1)
-        ]
-        nxt: dict[int, int] = {}
+            else:
+                if i > j:
+                    # x[i,j] == -x[j,i]: fold both orientations into one power
+                    i, j = j, i
+                    negate ^= e & 1
+                powers[i, j] = powers.get((i, j), 0) + e
+        local = {start: -coeff if negate else coeff}
+        for (i, j), e in powers.items():
+            # x[i,j] == x[base,j] - x[base,i]; expand the e-th power exactly.
+            ui, uj = units[i], units[j]
+            expansion = [
+                (-math.comb(e, k) if (e - k) & 1 else math.comb(e, k), (e - k) * ui + k * uj)
+                for k in range(e + 1)
+            ]
+            nxt: dict[int, int] = {}
+            for key, c in local.items():
+                for bc, offset in expansion:
+                    at = key + offset
+                    nxt[at] = nxt.get(at, 0) + c * bc
+            local = nxt
         for key, c in local.items():
-            for bc, offset in expansion:
-                at = key + offset
-                nxt[at] = nxt.get(at, 0) + c * bc
-        local = nxt
-    for key, c in local.items():
-        total = acc.get(key, 0) + c
-        if total:
-            acc[key] = total
-        else:
-            acc.pop(key, None)
+            total = acc.get(key, 0) + c
+            if total:
+                acc[key] = total
+            else:
+                acc.pop(key, None)
 
+    def block(self, pairs: Iterable[Pair], power: int) -> dict[int, int]:
+        """The expansion of the product of x[i,j]^power over ``pairs``."""
+        acc: dict[int, int] = {}
+        self.expand(1, tuple((pair, power) for pair in pairs), acc)
+        return acc
 
-def _block_form(pairs: Iterable[Pair], power: int, base: Label, units: dict[Label, int]) -> dict[int, int]:
-    """The packed base-variable expansion of the product of x[i,j]^power over ``pairs``."""
-    acc: dict[int, int] = {}
-    _expand_monomial(1, tuple((pair, power) for pair in pairs), base, units, acc)
-    return acc
+    def pack(self, terms: Iterable[Monomial], scale: int) -> Iterator[tuple[int, int]]:
+        """(key, integer coefficient * ``scale``) of each term, all in the base variables."""
+        units = self.units
+        for t in terms:
+            c = t.coeff
+            yield sum(e * units[j] for (_, j), e in t.exps), c.numerator * (scale // c.denominator)
 
+    def of_degree(self, degree: int) -> list[int]:
+        """The keys of every base monomial of ``degree``, in ``iter_compositions`` order."""
+        *heads, last = self.units.values()
+        partial = [(0, degree)]  # (key so far, degree left)
+        for unit in heads:
+            partial = [(key + e * unit, left - e) for key, left in partial for e in range(left, -1, -1)]
+        return [key + left * last for key, left in partial]
 
-def _packed_terms(terms: Iterable[Monomial], units: dict[Label, int],
-                  scale: int) -> Iterator[tuple[int, int]]:
-    """(packed key, coefficient * ``scale``) of each term in the base variables.
+    def to_poly(self, acc: Mapping[int, int], scale: int) -> Polynomial:
+        """The canonical sum of c/scale * x^key over ``acc``, whose values are nonzero.
 
-    ``scale`` must be a multiple of every coefficient's denominator, so each
-    scaled coefficient is an integer.
-    """
-    for t in terms:
-        c = t.coeff
-        yield sum(e * units[j] for (_, j), e in t.exps), c.numerator * (scale // c.denominator)
-
-
-def _packed_to_poly(ground: IndexSet, base: Label, units: dict[Label, int], bits: int,
-                    acc: Mapping[int, int], scale: int) -> Polynomial:
-    """The sum of c/scale * x^key over ``acc``, each key unpacked into ``bits``-wide fields.
-
-    Terms are sorted by one integer each: the degree above the fields, read
-    first label first.  Descending, that is the order of ``Monomial.sort_key``.
-    """
-    mask = (1 << bits) - 1
-    top = bits * len(units)
-    keyed = []
-    for key, c in acc.items():  # c is nonzero: _expand_monomial drops zero sums
-        exps = []
-        order = degree = 0
-        shift = top
-        for lab in units:
-            if not key:
-                break
-            shift -= bits  # the first label's field on top
-            if e := key & mask:
-                exps.append(((base, lab), e))
-                order += e << shift
-                degree += e
-            key >>= bits
-        coeff = Fraction(c) if scale == 1 else Fraction(c, scale)  # the int case skips a gcd
-        keyed.append((order + (degree << top), _trusted(Monomial, ground=ground, coeff=coeff, exps=tuple(exps))))
-    keyed.sort(key=itemgetter(0), reverse=True)  # keys are distinct: the order is total
-    return _trusted(Polynomial, ground=ground, terms=tuple([m for _, m in keyed]))
+        Each term sorts by its key with its degree above the fields: descending,
+        that is the order of ``Monomial.sort_key``.
+        """
+        ground, base, bits, units = self.ground, self.base, self.bits, self.units
+        top = bits * len(units)
+        keyed = []
+        for key, c in acc.items():
+            exps = []
+            degree = 0
+            rest = key
+            shift = top
+            for lab in units:
+                if not rest:
+                    break
+                shift -= bits
+                if e := rest >> shift:
+                    exps.append(((base, lab), e))
+                    degree += e
+                    rest -= e << shift
+            coeff = Fraction(c) if scale == 1 else Fraction(c, scale)  # the int case skips a gcd
+            keyed.append((key + (degree << top), _trusted(Monomial, ground=ground, coeff=coeff, exps=tuple(exps))))
+        keyed.sort(key=itemgetter(0), reverse=True)  # keys are distinct: the order is total
+        return _trusted(Polynomial, ground=ground, terms=tuple([m for _, m in keyed]))
 
 
 def _to_base(ground: IndexSet, terms: tuple[Monomial, ...], base: Label) -> Polynomial:
     """The sum of ``terms`` in the variables x[base,j] only.
 
-    Every term is scaled to an integer by the lcm of the denominators, the
-    expansion runs on integers over keys packed with fields as wide as the top
-    degree, and each output coefficient is divided by that lcm once.  Raises
-    SizeLimitError before expanding anything when one term exceeds
-    EXPANSION_LIMIT.
+    Every term is scaled to an integer by the common denominator and expanded
+    on keys wide enough for the top degree, and each output coefficient is
+    divided by that denominator once.  Raises SizeLimitError before expanding
+    anything when one term exceeds EXPANSION_LIMIT.
     """
-    width = len(ground) - 1
-    top = 0
-    for t in terms:
-        degree = t.degree
-        _require_expandable(degree, width)
-        top = max(top, degree)
-    bits = top.bit_length() or 1
-    units = _base_units(ground, base, bits)
-    scale = math.lcm(*(t.coeff.denominator for t in terms))
+    top = max((t.degree for t in terms), default=0)
+    _require_expandable(top, len(ground) - 1)  # the measure grows with the degree: the top term decides
+    keys = _BaseKeys(ground, base, top)
+    scale = _common_denominator(terms)
     acc: dict[int, int] = {}
     for t in terms:
-        coeff = t.coeff.numerator * (scale // t.coeff.denominator)
-        _expand_monomial(coeff, t.exps, base, units, acc)
-    return _packed_to_poly(ground, base, units, bits, acc, scale)
+        keys.expand(t.coeff.numerator * (scale // t.coeff.denominator), t.exps, acc)
+    return keys.to_poly(acc, scale)
 
 
 def rewrite_to_base(mono: Monomial, base: Label) -> Polynomial:

@@ -356,6 +356,15 @@ def test_exit_codes_for_errors(capsys, tmp_path, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(b"\xff\xfe{"), encoding="utf-8"))
     code, out, err = run_cli(capsys, "verify")
     assert code == 2 and out == "" and "not UTF-8" in err
+    # integers longer than the interpreter converts and deeply nested JSON -> 2, not a traceback and exit 1
+    digits = "9" * 5001
+    for text, at in ((f"{digits}*x[1,2]", "position 0"), (f"x[1,2]^{digits}", "position 7")):
+        code, out, err = run_cli(capsys, "nf", "--ground", "1,2", text)
+        assert code == 2 and out == "" and "5001 digits" in err and at in err
+    for bad in ("[" * 100000, good.replace('"g": 2', f'"g": {digits}')):
+        monkeypatch.setattr("sys.stdin", io.StringIO(bad))
+        code, out, err = run_cli(capsys, "verify")
+        assert code == 2 and out == "" and "bad certificate JSON" in err
 
 
 def test_cmd_verify_non_utf8_stdin_bytes():

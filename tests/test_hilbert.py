@@ -154,6 +154,16 @@ def test_size_limit_enforced():
         dim_quotient_graded(standard_ground(4), 2, 40)
 
 
+def test_size_limit_checked_before_columns_are_built():
+    # n = 4, d = 1000 has 501,501 columns; the cap needs only their count
+    query = Monomial.make(X4, 1, {(1, 2): 1000}).as_poly()
+    for ask in (lambda slice_: slice_.dim, lambda slice_: slice_.contains(query)):
+        slice_ = block_ideal_slice(X4, 2, 1000)
+        with pytest.raises(SizeLimitError, match="rows x"):
+            ask(slice_)
+        assert "_layout" not in slice_.__dict__
+
+
 def test_graded_report_shape():
     # expected ranks confirmed by expanding the three distinct reduced
     # generators y2^4*y3^4, y2^4*(y3-y2)^4, y3^4*(y2-y3)^4 and row-reducing

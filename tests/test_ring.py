@@ -50,22 +50,31 @@ def test_index_set_subsets():
 
 
 def test_monomial_validation():
-    with pytest.raises(PreconditionError):
+    with pytest.raises(PreconditionError, match="nonzero"):
         Monomial.make(X3, 0, {(1, 2): 1})
-    with pytest.raises(PreconditionError):
+    with pytest.raises(PreconditionError, match="equal indices"):
         Monomial.make(X3, 1, {(1, 1): 1})
-    with pytest.raises(PreconditionError):
+    with pytest.raises(PreconditionError, match="outside ground set"):
         Monomial.make(X3, 1, {(1, 4): 1})
-    with pytest.raises(PreconditionError):
+    with pytest.raises(PreconditionError, match="positive integer"):
         Monomial.make(X3, 1, {(1, 2): -1})
+    # each check names its own defect, also when exps is given directly
+    for exps, message in (((((1, 1), 2),), "equal indices"), ((((1, 9), 2),), "outside ground set"),
+                          ((((1, 2), 0),), "positive integer"),
+                          ((((1, 3), 1), ((1, 2), 1)), "strictly ascending")):
+        with pytest.raises(PreconditionError, match=message):
+            Monomial(X3, 1, exps)
     # zero exponents are dropped, not stored
     assert Monomial.make(X3, 5, {(1, 2): 0}).exps == ()
     # labels and exponents are ints, the coefficient an int or a Fraction: never converted
-    for exps in ({(1, 2): 2.7}, {(1.9, 2): 1}, {(1, 2): "3"}, {(1, 2): 0.0}, {(1, 2): False}):
-        with pytest.raises(PreconditionError):
+    for exps in ({(1, 2): 2.7}, {(1, 2): "3"}, {(1, 2): 0.0}, {(1, 2): False}):
+        with pytest.raises(PreconditionError, match="positive integer"):
             Monomial.make(X3, 1, exps)
-    for exps in ((((1.0, 2), 1),), (((1, 2), True),), (((True, 2), 1),)):
-        with pytest.raises(PreconditionError):
+    with pytest.raises(PreconditionError, match="integer labels"):
+        Monomial.make(X3, 1, {(1.9, 2): 1})
+    for exps, message in (((((1.0, 2), 1),), "integer labels"), ((((1, 2), True),), "positive integer"),
+                          ((((True, 2), 1),), "integer labels")):
+        with pytest.raises(PreconditionError, match=message):
             Monomial(X3, 1, exps)
     for coeff in (0.1, "1/3", True):
         with pytest.raises(PreconditionError):
