@@ -10,7 +10,7 @@ Text grammar (ASCII space, tab, CR and LF insignificant)::
     coeff  := int [ '/' posint ]
 
 Exit codes: 0 success or a true answer, 1 a false answer, 2 usage or parse
-error, 3 precondition violation.
+error, 3 precondition violation or size limit.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from typing import Sequence
 
 from .combinatorics import Block, enumerate_blocks, pivot_lemma_check, split_lemma_check, vanishing_bound
 from .decompose import Certificate, CertificateEntry, decompose, verify_certificate
-from .errors import MalformedCertificateError, ParseError, PreconditionError
+from .errors import MalformedCertificateError, ParseError, PreconditionError, SizeLimitError
 from .hilbert import GradedReport, graded_report
 from .ring import Exponents, IndexSet, Monomial, Polynomial, eq_mod_relations, normal_form
 
@@ -142,6 +142,17 @@ def parse_poly(text: str, ground: IndexSet) -> Polynomial:
     return Polynomial.from_map(ground, acc)
 
 
+def _coeff_text(c: Fraction) -> str:
+    """``str(c)``, or SizeLimitError when it has more digits than the interpreter prints."""
+    try:
+        return str(c)
+    except ValueError:  # the interpreter's limit on int to str conversion (4,300 digits by default)
+        raise SizeLimitError(
+            f"coefficient of {max(c.numerator.bit_length(), c.denominator.bit_length())} bits "
+            f"has too many digits to print"
+        ) from None
+
+
 def poly_to_str(p: Polynomial) -> str:
     """Canonical text form; ``parse_poly`` inverts it over the same ground set."""
     if p.is_zero:
@@ -154,7 +165,7 @@ def poly_to_str(p: Polynomial) -> str:
             for (i, j), e in t.exps
         ]
         if not factors or magnitude != 1:
-            factors.insert(0, str(magnitude))
+            factors.insert(0, _coeff_text(magnitude))
         body = "*".join(factors)
         if k == 0:
             chunks.append(body if t.coeff > 0 else f"-{body}")
@@ -169,7 +180,7 @@ def poly_to_str(p: Polynomial) -> str:
 def poly_to_json(p: Polynomial) -> dict:
     return {
         "terms": [
-            {"coeff": str(t.coeff), "exps": [[[i, j], e] for (i, j), e in t.exps]}
+            {"coeff": _coeff_text(t.coeff), "exps": [[[i, j], e] for (i, j), e in t.exps]}
             for t in p.terms
         ]
     }
@@ -424,9 +435,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
     p.set_defaults(handler=_cmd_blocks)
 
-    p = sub.add_parser("lemma-lines", help="check pivot selection over extremal count tables")
+    p = sub.add_parser("lemma-lines", help="check pivot selection over monomials at the bound")
     common(p, with_g=True)
-    p.add_argument("--samples", type=_int_arg, default=0, help="random tables instead of exhaustion")
+    p.add_argument("--samples", type=_int_arg, default=0, help="random monomials instead of exhaustion")
     p.add_argument("--seed", type=_int_arg, default=0)
     p.add_argument("--json", action="store_true")
     p.set_defaults(handler=_cmd_lemma_lines)

@@ -1,4 +1,4 @@
-"""Blocks of a ground set, pair-count tables, pivot selection, monomial splits.
+"""Blocks of a ground set, pivot selection, monomial splits.
 
 A block is an ordered bipartition (left, right) of the ground set; its pairs
 are left x right.  The decomposition driver picks a pivot label whose removal
@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import PreconditionError
-from .ring import IndexSet, Label, Monomial, Pair, _Q1, _trusted
+from .ring import Exponents, IndexSet, Label, Monomial, Pair, _Q1, _trusted
 
 
 def _require_g(g: int) -> None:
@@ -76,65 +76,30 @@ def enumerate_blocks(ground: IndexSet) -> list[Block]:
     return out
 
 
-@dataclass(frozen=True)
-class PairCountTable:
-    """Nonnegative counts indexed by 2-element subsets {i,j}, keyed as (i,j), i<j."""
-
-    ground: IndexSet
-    counts: Mapping[Pair, int]
-
-    def __post_init__(self):
-        counts = dict(self.counts)
-        object.__setattr__(self, "counts", counts)
-        for (i, j), c in counts.items():
-            if not (i < j and i in self.ground and j in self.ground):
-                raise PreconditionError(f"key ({i},{j}) is not an ascending pair within the ground set")
-            if not isinstance(c, int) or c < 0:
-                raise PreconditionError(f"count for ({i},{j}) must be a nonnegative integer, got {c!r}")
-
-    @classmethod
-    def from_monomial(cls, mono: Monomial) -> "PairCountTable":
-        counts: dict[Pair, int] = {}
-        for (i, j), e in mono.exps:
-            key = (i, j) if i < j else (j, i)
-            counts[key] = counts.get(key, 0) + e
-        return cls(mono.ground, counts)
-
-    @property
-    def total(self) -> int:
-        return sum(self.counts.values())
-
-    def count(self, i: Label, j: Label) -> int:
-        key = (i, j) if i < j else (j, i)
-        return self.counts.get(key, 0)
-
-    def restricted_total(self, label: Label) -> int:
-        """Total count over 2-subsets avoiding ``label``."""
-        if label not in self.ground:
-            raise PreconditionError(f"label {label} not in ground set {self.ground.elements}")
-        touching = sum(c for (i, j), c in self.counts.items() if label in (i, j))
-        return self.total - touching
+def _degree_avoiding(mono: Monomial, label: Label) -> int:
+    """Degree of ``mono`` on the variables x[i,j] and x[j,i] with i, j != ``label``."""
+    return sum(e for pair, e in mono.exps if label not in pair)
 
 
-def select_pivot(table: PairCountTable, g: int) -> Label:
-    """Smallest label whose removal keeps the remaining pair-count total large.
+def select_pivot(mono: Monomial, g: int) -> Label:
+    """Smallest label whose removal keeps enough degree on the other pairs.
 
-    With n labels and total >= n(n-1)g - n + 2, some label z satisfies
-    restricted_total(z) >= (n-1)(n-2)g - n + 3; the smallest such z is
-    returned.
+    With n labels and deg(mono) >= n(n-1)g - n + 2, some label z leaves
+    degree >= (n-1)(n-2)g - n + 3 on the variables that avoid it, both
+    orientations of a pair counted; the smallest such z is returned.
     """
     _require_g(g)
-    n = len(table.ground)
+    n = len(mono.ground)
     if n < 3:
         raise PreconditionError(f"pivot selection needs at least 3 labels, got {n}")
     required_total = vanishing_bound(n, g)
-    if table.total < required_total:
+    if mono.degree < required_total:
         raise PreconditionError(
-            f"pair-count total {table.total} below required {required_total} for n={n}, g={g}"
+            f"degree {mono.degree} below required {required_total} for n={n}, g={g}"
         )
     required_rest = vanishing_bound(n - 1, g)
-    for z in table.ground:
-        if table.restricted_total(z) >= required_rest:
+    for z in mono.ground:
+        if _degree_avoiding(mono, z) >= required_rest:
             return z
     raise RuntimeError("internal consistency failure: no qualifying pivot exists")
 
@@ -157,7 +122,8 @@ def split_at(mono: Monomial, pivot: Label) -> tuple[Monomial, Monomial]:
 
 class BranchChoice(NamedTuple):
     side: str  # "H" routes to the left part, "W" to the right part
-    degree_bound: int
+    chosen: Exponents  # the factors x[pivot,j] with j on that side
+    spare: Exponents  # the other factors
 
 
 def branch_of_split(mono: Monomial, pivot: Label, left: Iterable[Label],
@@ -168,7 +134,9 @@ def branch_of_split(mono: Monomial, pivot: Label, left: Iterable[Label],
     partition the ground set minus the pivot.  Whenever
     deg >= n(n-1)g - n + 2 - 2g*h*w, at least one side carries enough degree:
     the left total reaches g*h*(h+1) - h + 1 ("H") or the right total reaches
-    g*w*(w+1) - w + 1 ("W").  Ties prefer H.
+    g*w*(w+1) - w + 1 ("W").  Ties prefer H.  Returns the side with the
+    factors of ``mono`` on it, whose degree reaches that side's bound, and
+    the spare factors.
     """
     _require_g(g)
     ground = mono.ground
@@ -180,27 +148,31 @@ def branch_of_split(mono: Monomial, pivot: Label, left: Iterable[Label],
         raise PreconditionError("left and right must partition the ground set minus the pivot")
     if not left or not right:
         raise PreconditionError("both sides of the partition must be nonempty")
-    degree = left_degree = 0
-    for (i, j), e in mono.exps:
+    on_left, on_right = [], []
+    left_degree = right_degree = 0
+    for item in mono.exps:
+        (i, j), e = item
         if i != pivot:
             raise PreconditionError(f"expected a monomial in variables x[{pivot},j] only")
-        degree += e
         if j in left:
+            on_left.append(item)
             left_degree += e
+        else:
+            on_right.append(item)
+            right_degree += e
     h, w = len(left), len(right)
     n = len(ground)
     required = vanishing_bound(n, g) - 2 * g * w * h
+    degree = left_degree + right_degree
     if degree < required:
         raise PreconditionError(
             f"degree {degree} below required {required} for n={n}, g={g}, h={h}, w={w}"
         )
-    h_bound = vanishing_bound(h + 1, g)
-    if left_degree >= h_bound:
-        return BranchChoice("H", h_bound)
-    w_bound = vanishing_bound(w + 1, g)
-    if degree - left_degree < w_bound:
+    if left_degree >= vanishing_bound(h + 1, g):
+        return BranchChoice("H", tuple(on_left), tuple(on_right))
+    if right_degree < vanishing_bound(w + 1, g):
         raise RuntimeError("internal consistency failure: neither side reaches its bound")
-    return BranchChoice("W", w_bound)
+    return BranchChoice("W", tuple(on_right), tuple(on_left))
 
 
 def iter_compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
@@ -237,11 +209,12 @@ def sample_composition(total: int, parts: int, rng: random.Random) -> tuple[int,
 
 def pivot_lemma_check(ground: IndexSet, g: int, samples: int = 0,
                       seed: int = 0) -> tuple[int, list[tuple[int, ...]]]:
-    """Check pivot existence over tables of total exactly n(n-1)g - n + 2.
+    """Check pivot existence over monomials of degree exactly n(n-1)g - n + 2.
 
-    Runs over all compositions of the total into the 2-subset slots, or over
-    ``samples`` uniform draws when ``samples`` > 0.  Returns (checked,
-    failing compositions); the second entry should always be empty.
+    Each composition of that degree into the 2-subset slots {i,j}, i < j, is
+    the monomial with exponent c on x[i,j]; the check runs over all of them,
+    or over ``samples`` uniform draws when ``samples`` > 0.  Returns
+    (checked, failing compositions); the second entry should always be empty.
     """
     _require_g(g)
     n = len(ground)
@@ -262,13 +235,15 @@ def pivot_lemma_check(ground: IndexSet, g: int, samples: int = 0,
     failures = []
     for comp in source:
         checked += 1
-        table = PairCountTable(ground, dict(zip(keys, comp)))
+        # the keys ascend and zero counts are dropped, so the exponents are valid
+        exps = tuple((key, c) for key, c in zip(keys, comp) if c)
+        mono = _trusted(Monomial, ground=ground, coeff=_Q1, exps=exps)
         try:
-            z = select_pivot(table, g)
+            z = select_pivot(mono, g)
         except (PreconditionError, RuntimeError):
             failures.append(comp)
             continue
-        if table.restricted_total(z) < required_rest:
+        if _degree_avoiding(mono, z) < required_rest:
             failures.append(comp)
     return checked, failures
 

@@ -15,7 +15,6 @@ from typing import Iterator
 from . import ring  # normal_form is looked up on the module, where perfbench/tracing.py wraps it
 from .combinatorics import (
     Block,
-    PairCountTable,
     _require_g,
     branch_of_split,
     select_pivot,
@@ -196,7 +195,7 @@ def _decompose_entries(mono: Monomial, g: int, budget: Iterator[int]) -> Entries
     if len(ground) == 2:
         return _base_entries(mono, g)
 
-    pivot = select_pivot(PairCountTable.from_monomial(mono), g)
+    pivot = select_pivot(mono, g)
     touching, rest = split_at(mono, pivot)
     outer_ground = ground.without(pivot)
     first = ground.min()
@@ -215,22 +214,12 @@ def _decompose_entries(mono: Monomial, g: int, budget: Iterator[int]) -> Entries
             # integer coefficient and p.coeff.numerator below is exact
             lifted = _trusted(Monomial, ground=ground, coeff=_Q1, exps=_merge_exps(touching.exps, exps))
             for p in rewrite_to_base(lifted, pivot).terms:
-                choice = branch_of_split(p, pivot, left, right, g)
-                sub_ground = sub_grounds[choice.side]
-                labels = sub_ground.elements
-                # every variable is x[pivot,j] with j != pivot, so j in sub_ground means j on the side
-                chosen = tuple(item for item in p.exps if item[0][1] in labels)
-                spare = tuple(item for item in p.exps if item[0][1] not in labels)
-                degree = sum(e for _, e in chosen)
-                if degree < choice.degree_bound:
-                    raise RuntimeError(
-                        f"internal consistency failure: sub-monomial {chosen} over ground {labels} "
-                        f"with g={g} has degree {degree}, below {choice.degree_bound}"
-                    )
-                selected = _trusted(Monomial, ground=sub_ground, coeff=_Q1, exps=chosen)
+                side, chosen, spare = branch_of_split(p, pivot, left, right, g)
+                # chosen reaches the bound of its side plus the pivot, checked by branch_of_split
+                selected = _trusted(Monomial, ground=sub_grounds[side], coeff=_Q1, exps=chosen)
                 scale = p.coeff.numerator * coeff
                 for inner_left, phi in _decompose_entries(selected, g, budget).items():
-                    _add_product(buckets.setdefault((choice.side, inner_left), {}), phi, spare, scale)
+                    _add_product(buckets.setdefault((side, inner_left), {}), phi, spare, scale)
         for (side, inner_left), terms in buckets.items():
             inner_block = _trusted(Block, ground=sub_grounds[side], left=inner_left)
             merged, leftover = merge_blocks(outer_block, inner_block, ground, side)
@@ -288,7 +277,7 @@ def verify_certificate(cert: Certificate) -> bool:
             return False
     # Every product below has the input's degree, so keys for that degree never carry.
     ground = cert.ground
-    _require_expandable(degree, len(ground) - 1)
+    _require_expandable((degree,), len(ground) - 1)
     keys = _BaseKeys(ground, ground.min(), degree)
     forms = [ring.normal_form(entry.cofactor).terms for entry in cert.entries]
     scale = _common_denominator((zeta, *(t for terms in forms for t in terms)))

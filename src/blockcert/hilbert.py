@@ -116,6 +116,9 @@ class BlockIdealSlice:
     g: int
     degree: int
 
+    def __post_init__(self):
+        _require_scope(self.ground, self.g, self.degree)
+
     @cached_property
     def _layout(self):
         keys = _BaseKeys(self.ground, self.ground.min(), self.degree)
@@ -168,7 +171,6 @@ class BlockIdealSlice:
 
 
 def block_ideal_slice(ground: IndexSet, g: int, d: int) -> BlockIdealSlice:
-    _require_scope(ground, g, d)
     return BlockIdealSlice(ground, g, d)
 
 

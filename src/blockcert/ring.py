@@ -27,11 +27,12 @@ Exponents = tuple[tuple[Pair, int], ...]
 _Q0 = Fraction(0)
 _Q1 = Fraction(1)
 
-# Cap on degree x C(degree + w - 1, w - 1) for one term over w base variables:
-# the number of base monomials its expansion can reach, times the bit growth
-# of its binomial coefficients.  One term of degree 57 over 5 labels (the
-# vanishing bound for g = 3) measures 1.95e6; x[2,3]^9999 measures 1e8 and
-# takes seconds.
+# Cap on the sum, over the terms of one expansion, of degree x
+# C(degree + w - 1, w - 1) over w base variables: the number of base monomials
+# a term's expansion can reach, times the bit growth of its binomial
+# coefficients.  One term of degree 57 over 5 labels (the vanishing bound for
+# g = 3) measures 1.95e6; x[2,3]^9999 measures 1e8 and takes seconds, and so
+# do eight terms of degree 3161 over 3 labels, 1e7 each.
 EXPANSION_LIMIT = 10_000_000
 
 
@@ -338,14 +339,14 @@ class Polynomial:
         return result
 
 
-def _require_expandable(degree: int, width: int) -> None:
-    """Raise SizeLimitError when a term of ``degree`` over ``width`` base
-    variables measures above EXPANSION_LIMIT."""
-    size = degree * math.comb(degree + width - 1, width - 1)
+def _require_expandable(degrees: Iterable[int], width: int) -> None:
+    """Raise SizeLimitError when terms of ``degrees`` over ``width`` base
+    variables measure above EXPANSION_LIMIT in sum."""
+    size = sum(d * math.comb(d + width - 1, width - 1) for d in degrees)
     if size > EXPANSION_LIMIT:
         raise SizeLimitError(
-            f"expanding a term of degree {degree} over {width} base variables measures "
-            f"{size}, above the limit {EXPANSION_LIMIT}"
+            f"expanding terms over {width} base variables measures {size}, "
+            f"above the limit {EXPANSION_LIMIT}"
         )
 
 
@@ -479,11 +480,11 @@ def _to_base(ground: IndexSet, terms: tuple[Monomial, ...], base: Label) -> Poly
     Every term is scaled to an integer by the common denominator and expanded
     on keys wide enough for the top degree, and each output coefficient is
     divided by that denominator once.  Raises SizeLimitError before expanding
-    anything when one term exceeds EXPANSION_LIMIT.
+    anything when the terms together exceed EXPANSION_LIMIT.
     """
-    top = max((t.degree for t in terms), default=0)
-    _require_expandable(top, len(ground) - 1)  # the measure grows with the degree: the top term decides
-    keys = _BaseKeys(ground, base, top)
+    degrees = [t.degree for t in terms]
+    _require_expandable(degrees, len(ground) - 1)
+    keys = _BaseKeys(ground, base, max(degrees, default=0))
     scale = _common_denominator(terms)
     acc: dict[int, int] = {}
     for t in terms:

@@ -119,8 +119,8 @@ def test_acceptance_4_pivot_existence():
     assert count == 10_000
     checked += count
     bad += len(failures)
-    _report(4, "pivot selection succeeds on every pair-count table", bad == 0,
-            "%d tables (n=3 exhaustive, n=4 sampled), %d failures"
+    _report(4, "pivot selection succeeds on every monomial at the bound", bad == 0,
+            "%d monomials (n=3 exhaustive, n=4 sampled), %d failures"
             % (checked, bad))
 
 

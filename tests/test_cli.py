@@ -18,6 +18,7 @@ from blockcert import (
     Monomial,
     ParseError,
     Polynomial,
+    SizeLimitError,
     base_certificate,
     certificate_from_json,
     certificate_to_json,
@@ -94,6 +95,13 @@ def test_print_examples():
     assert poly_to_str(Polynomial.zero(X3)) == "0"
     assert poly_to_str(parse_poly("x[1,3]^3-x[1,2]*x[1,3]^2", X3)) == "-x[1,2]*x[1,3]^2+x[1,3]^3"
     assert poly_to_str(Polynomial.constant(X3, Fraction(-3, 4))) == "-3/4"
+    # a coefficient longer than the interpreter prints (4,300 digits by default) is a size limit
+    for value in (10 ** 4400, Fraction(1, 10 ** 4400)):
+        p = Polynomial.constant(X3, value)
+        with pytest.raises(SizeLimitError, match="too many digits"):
+            poly_to_str(p)
+        with pytest.raises(SizeLimitError, match="too many digits"):
+            poly_to_json(p)
 
 
 def test_parse_print_round_trip_randomized():
@@ -315,6 +323,12 @@ def test_exit_codes_for_errors(capsys, tmp_path, monkeypatch):
     code, _, err = run_cli(capsys, "nf", "--ground", "1,2,3", "x[1,2]^100000000*x[2,3]^100000000")
     assert code == 3 and "above the limit" in err
     assert time.perf_counter() - start < 5
+    # the budget sums over the terms: eight terms each just under the limit ran for 5 s
+    start = time.perf_counter()
+    eight = "x[2,3]^3161+" + "+".join(f"x[2,3]^{3161 - k}*x[1,3]^{k}" for k in range(1, 8))
+    code, _, err = run_cli(capsys, "nf", "--ground", "1,2,3", eight)
+    assert code == 3 and "above the limit" in err
+    assert time.perf_counter() - start < 5
     # label budget -> 3, checked before decompose does any work
     start = time.perf_counter()
     code, _, err = run_cli(capsys, "decompose", "--ground", "1,2,3,4,5,6", "--g", "2",
@@ -365,6 +379,9 @@ def test_exit_codes_for_errors(capsys, tmp_path, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO(bad))
         code, out, err = run_cli(capsys, "verify")
         assert code == 2 and out == "" and "bad certificate JSON" in err
+    # a cofactor coefficient longer than the interpreter prints -> 3, not a traceback and exit 1
+    code, out, err = run_cli(capsys, "decompose", "--ground", "1,2,3", "--g", "2", "9" * 4299 + "*x[1,2]^11")
+    assert code == 3 and out == "" and "too many digits" in err
 
 
 def test_cmd_verify_non_utf8_stdin_bytes():

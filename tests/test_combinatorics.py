@@ -1,4 +1,4 @@
-"""Blocks, pair-count tables, pivot selection, splits, and the lemma suites."""
+"""Blocks, pivot selection, splits, and the lemma suites."""
 
 import random
 
@@ -8,7 +8,6 @@ from blockcert import (
     Block,
     IndexSet,
     Monomial,
-    PairCountTable,
     PreconditionError,
     branch_of_split,
     enumerate_blocks,
@@ -18,7 +17,9 @@ from blockcert import (
     select_pivot,
     split_at,
     split_lemma_check,
+    vanishing_bound,
 )
+from blockcert.combinatorics import _degree_avoiding
 from helpers import random_monomial, standard_ground
 
 X3 = IndexSet((1, 2, 3))
@@ -59,43 +60,30 @@ def test_enumerate_blocks_order_and_counts():
     assert enumerate_blocks(X4) == enumerate_blocks(X4)
 
 
-# -- pair-count tables ---------------------------------------------------------
-
-def test_pair_count_table_from_monomial():
-    m = Monomial.make(X3, 1, {(1, 2): 4, (2, 1): 3, (2, 3): 2, (3, 1): 2})
-    t = PairCountTable.from_monomial(m)
-    assert t.count(1, 2) == 7
-    assert t.count(2, 3) == 2
-    assert t.count(3, 1) == 2
-    assert t.total == 11
-    assert t.restricted_total(3) == 7
-
-
-def test_pair_count_table_validation():
-    with pytest.raises(PreconditionError):
-        PairCountTable(X3, {(2, 1): 1})
-    with pytest.raises(PreconditionError):
-        PairCountTable(X3, {(1, 4): 1})
-    with pytest.raises(PreconditionError):
-        PairCountTable(X3, {(1, 2): -1})
-
-
 # -- pivot selection -----------------------------------------------------------
 
 def test_select_pivot_examples():
-    t = PairCountTable(X3, {(1, 2): 11})
-    assert select_pivot(t, 2) == 3
-    t = PairCountTable(X3, {(1, 2): 4, (1, 3): 4, (2, 3): 3})
-    assert select_pivot(t, 2) == 2
+    assert select_pivot(Monomial.make(X3, 1, {(1, 2): 11}), 2) == 3
+    assert select_pivot(Monomial.make(X3, 1, {(1, 2): 4, (1, 3): 4, (2, 3): 3}), 2) == 2
+
+
+def test_select_pivot_counts_both_orientations():
+    # avoiding 3 leaves x[1,2]^4 * x[2,1]^3, degree 7; avoiding 1 or 2 leaves degree 2
+    m = Monomial.make(X3, 1, {(1, 2): 4, (2, 1): 3, (2, 3): 2, (3, 1): 2})
+    assert [_degree_avoiding(m, z) for z in X3] == [2, 2, 7]
+    assert select_pivot(m, 2) == 3
+    # 3 + 2 on the pair {1,2} reaches the bound 4 only with both orientations counted
+    m = Monomial.make(X3, 1, {(1, 2): 3, (1, 3): 3, (2, 1): 2, (2, 3): 3})
+    assert select_pivot(m, 2) == 3
 
 
 def test_select_pivot_distinct_errors():
-    with pytest.raises(PreconditionError, match="total 10 below required 11"):
-        select_pivot(PairCountTable(X3, {(1, 2): 10}), 2)
+    with pytest.raises(PreconditionError, match="degree 10 below required 11"):
+        select_pivot(Monomial.make(X3, 1, {(1, 2): 10}), 2)
     with pytest.raises(PreconditionError, match="at least 3 labels"):
-        select_pivot(PairCountTable(IndexSet((1, 2)), {(1, 2): 99}), 2)
+        select_pivot(Monomial.make(IndexSet((1, 2)), 1, {(1, 2): 99}), 2)
     with pytest.raises(PreconditionError, match="g must be"):
-        select_pivot(PairCountTable(X3, {(1, 2): 11}), 1)
+        select_pivot(Monomial.make(X3, 1, {(1, 2): 11}), 1)
 
 
 def test_pivot_lemma_exhaustive_small():
@@ -151,15 +139,37 @@ def test_split_at_requires_member():
 def test_branch_of_split_examples():
     # degree 7 = threshold for n=3, g=2, h=w=1; left side misses its bound of 4
     m = Monomial.make(X3, 1, {(1, 2): 3, (1, 3): 4})
-    choice = branch_of_split(m, 1, (2,), (3,), 2)
-    assert choice.side == "W" and choice.degree_bound == 4
+    assert branch_of_split(m, 1, (2,), (3,), 2) == ("W", (((1, 3), 4),), (((1, 2), 3),))
     # everything on the left side
     m = Monomial.make(X3, 1, {(1, 2): 7})
-    choice = branch_of_split(m, 1, (2,), (3,), 2)
-    assert choice.side == "H" and choice.degree_bound == 4
+    assert branch_of_split(m, 1, (2,), (3,), 2) == ("H", (((1, 2), 7),), ())
     # ties prefer H: 4 on the left meets the bound even with 3 on the right
     m = Monomial.make(X3, 1, {(1, 2): 4, (1, 3): 3})
     assert branch_of_split(m, 1, (2,), (3,), 2).side == "H"
+
+
+def test_branch_of_split_partitions_the_factors():
+    # the chosen and spare factors split exps, and the chosen ones reach the bound of side + pivot
+    rng = random.Random(5)
+    for _ in range(200):
+        n = rng.randint(3, 5)
+        ground = standard_ground(n)
+        g = rng.choice((2, 3))
+        pivot = rng.choice(list(ground))
+        others = [lab for lab in ground if lab != pivot]
+        rng.shuffle(others)
+        h = rng.randint(1, n - 2)
+        left, right = sorted(others[:h]), sorted(others[h:])
+        required = vanishing_bound(n, g) - 2 * g * h * (n - 1 - h)
+        degree = required + rng.randint(0, 3)
+        spread = sample_composition(degree, n - 1, rng)
+        m = Monomial.make(ground, 1, {(pivot, j): e for j, e in zip(sorted(others), spread)})
+        side, chosen, spare = branch_of_split(m, pivot, left, right, g)
+        assert tuple(sorted(chosen + spare)) == m.exps
+        part = left if side == "H" else right
+        assert all(j in part for (_, j), _ in chosen)
+        assert all(j not in part for (_, j), _ in spare)
+        assert sum(e for _, e in chosen) >= vanishing_bound(len(part) + 1, g)
 
 
 def test_branch_of_split_degree_precondition():

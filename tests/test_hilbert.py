@@ -6,6 +6,7 @@ import random
 import pytest
 
 from blockcert import (
+    BlockIdealSlice,
     IndexSet,
     IntRowSpace,
     Monomial,
@@ -147,6 +148,13 @@ def test_scope_preconditions():
         dim_quotient_graded(standard_ground(5), 2, 10)
     with pytest.raises(PreconditionError):
         dim_quotient_graded(X3, 4, 10)
+    # the public constructor refuses what block_ideal_slice refuses
+    for ground, g, d in ((X3, 1, 5), (X3, 0, 5), (X3, True, 5), (X3, 4, 5),
+                         (standard_ground(5), 2, 5), (X3, 2, -1)):
+        with pytest.raises(PreconditionError):
+            BlockIdealSlice(ground, g, d)
+        with pytest.raises(PreconditionError):
+            block_ideal_slice(ground, g, d)
 
 
 def test_size_limit_enforced():

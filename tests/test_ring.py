@@ -218,6 +218,10 @@ def test_expansion_budget():
     # one term at the vanishing bound of n = 5, g = 3 (degree 57) is inside it
     x5 = standard_ground(5)
     assert normal_form(Monomial.make(x5, 1, {(2, 3): 57}).as_poly()).degree == 57
+    # the measure is summed over the terms: each of these measures 3161 * 3162 = 9,995,082
+    terms = [Monomial.make(X3, 1, {(1, 3): k, (2, 3): 3161 - k}) for k in range(2)]
+    with pytest.raises(SizeLimitError, match="measures 19990164"):
+        normal_form(Polynomial.from_terms(X3, terms))
 
 
 def _substituted(mono, base):
