@@ -142,13 +142,13 @@ def parse_poly(text: str, ground: IndexSet) -> Polynomial:
     return Polynomial.from_map(ground, acc)
 
 
-def _coeff_text(c: Fraction) -> str:
-    """``str(c)``, or SizeLimitError when it has more digits than the interpreter prints."""
+def _number_text(x: int | Fraction) -> str:
+    """``str(x)``, or SizeLimitError when it has more digits than the interpreter prints."""
     try:
-        return str(c)
+        return str(x)
     except ValueError:  # the interpreter's limit on int to str conversion (4,300 digits by default)
         raise SizeLimitError(
-            f"coefficient of {max(c.numerator.bit_length(), c.denominator.bit_length())} bits "
+            f"number of {max(x.numerator.bit_length(), x.denominator.bit_length())} bits "
             f"has too many digits to print"
         ) from None
 
@@ -161,11 +161,11 @@ def poly_to_str(p: Polynomial) -> str:
     for k, t in enumerate(p.terms):
         magnitude = abs(t.coeff)
         factors = [
-            f"x[{i},{j}]" + (f"^{e}" if e > 1 else "")
+            f"x[{i},{j}]" + (f"^{_number_text(e)}" if e > 1 else "")
             for (i, j), e in t.exps
         ]
         if not factors or magnitude != 1:
-            factors.insert(0, _coeff_text(magnitude))
+            factors.insert(0, _number_text(magnitude))
         body = "*".join(factors)
         if k == 0:
             chunks.append(body if t.coeff > 0 else f"-{body}")
@@ -180,7 +180,7 @@ def poly_to_str(p: Polynomial) -> str:
 def poly_to_json(p: Polynomial) -> dict:
     return {
         "terms": [
-            {"coeff": _coeff_text(t.coeff), "exps": [[[i, j], e] for (i, j), e in t.exps]}
+            {"coeff": _number_text(t.coeff), "exps": [[[i, j], e] for (i, j), e in t.exps]}
             for t in p.terms
         ]
     }
@@ -285,7 +285,11 @@ def _ground_arg(text: str) -> IndexSet:
 
 
 def _emit(payload) -> None:
-    print(json.dumps(payload, indent=2))
+    try:
+        text = json.dumps(payload, indent=2)
+    except ValueError:  # an integer longer than the interpreter prints, as in _number_text
+        raise SizeLimitError("an integer in the output has too many digits to print") from None
+    print(text)
 
 
 def _cmd_nf(args) -> int:
@@ -346,7 +350,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_bound(args) -> int:
-    print(vanishing_bound(len(args.ground), args.g))
+    print(_number_text(vanishing_bound(len(args.ground), args.g)))
     return 0
 
 

@@ -9,11 +9,12 @@ degree dichotomy.  Everything here is deterministic and exact.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple
 
-from .errors import PreconditionError
+from .errors import PreconditionError, SizeLimitError
 from .ring import Exponents, IndexSet, Label, Monomial, Pair, _Q1, _trusted
 
 
@@ -126,12 +127,11 @@ class BranchChoice(NamedTuple):
     spare: Exponents  # the other factors
 
 
-def branch_of_split(mono: Monomial, pivot: Label, left: Iterable[Label],
-                    right: Iterable[Label], g: int) -> BranchChoice:
-    """Route a base-variable monomial to one side of a bipartition.
+def branch_of_split(mono: Monomial, pivot: Label, outer: Block, g: int) -> BranchChoice:
+    """Route a base-variable monomial to one side of the outer block.
 
-    ``mono`` must use variables x[pivot,j] only and (left, right) must
-    partition the ground set minus the pivot.  Whenever
+    ``mono`` must use variables x[pivot,j] only and ``outer`` must be a block
+    of the ground set minus the pivot.  Whenever
     deg >= n(n-1)g - n + 2 - 2g*h*w, at least one side carries enough degree:
     the left total reaches g*h*(h+1) - h + 1 ("H") or the right total reaches
     g*w*(w+1) - w + 1 ("W").  Ties prefer H.  Returns the side with the
@@ -140,14 +140,9 @@ def branch_of_split(mono: Monomial, pivot: Label, left: Iterable[Label],
     """
     _require_g(g)
     ground = mono.ground
-    if pivot not in ground:
-        raise PreconditionError(f"label {pivot} not in ground set {ground.elements}")
-    left = tuple(left)
-    right = tuple(right)
-    if sorted(left + right) != [lab for lab in ground.elements if lab != pivot]:
-        raise PreconditionError("left and right must partition the ground set minus the pivot")
-    if not left or not right:
-        raise PreconditionError("both sides of the partition must be nonempty")
+    if outer.ground != ground.without(pivot):
+        raise PreconditionError("outer block must partition the ground set minus the pivot")
+    left = outer.left
     on_left, on_right = [], []
     left_degree = right_degree = 0
     for item in mono.exps:
@@ -160,8 +155,9 @@ def branch_of_split(mono: Monomial, pivot: Label, left: Iterable[Label],
         else:
             on_right.append(item)
             right_degree += e
-    h, w = len(left), len(right)
+    h = len(left)
     n = len(ground)
+    w = n - 1 - h
     required = vanishing_bound(n, g) - 2 * g * w * h
     degree = left_degree + right_degree
     if degree < required:
@@ -207,14 +203,28 @@ def sample_composition(total: int, parts: int, rng: random.Random) -> tuple[int,
     return tuple(out)
 
 
+# Most cases one lemma check runs; either check counts its cases before it
+# runs any and raises SizeLimitError above this.  A pivot case takes about
+# 10 us and a split case about 7 us, so the limit is about 10 s of work; it
+# keeps n = 4, g = 3 exhaustive (575,757 pivot cases).
+LEMMA_CASE_LIMIT = 1_000_000
+
+
+def _require_case_count(cases: int) -> None:
+    if cases > LEMMA_CASE_LIMIT:
+        raise SizeLimitError(f"{cases} cases, above the limit {LEMMA_CASE_LIMIT} for a lemma check")
+
+
 def pivot_lemma_check(ground: IndexSet, g: int, samples: int = 0,
                       seed: int = 0) -> tuple[int, list[tuple[int, ...]]]:
-    """Check pivot existence over monomials of degree exactly n(n-1)g - n + 2.
+    """Run ``select_pivot`` on monomials of degree exactly n(n-1)g - n + 2.
 
     Each composition of that degree into the 2-subset slots {i,j}, i < j, is
     the monomial with exponent c on x[i,j]; the check runs over all of them,
-    or over ``samples`` uniform draws when ``samples`` > 0.  Returns
-    (checked, failing compositions); the second entry should always be empty.
+    or over ``samples`` uniform draws when ``samples`` > 0, and raises
+    SizeLimitError above LEMMA_CASE_LIMIT cases.  A composition fails when
+    ``select_pivot`` raises.  Returns (checked, failing compositions); the
+    second entry should always be empty.
     """
     _require_g(g)
     n = len(ground)
@@ -223,13 +233,14 @@ def pivot_lemma_check(ground: IndexSet, g: int, samples: int = 0,
     labels = ground.elements
     keys = [(labels[a], labels[b]) for a in range(n) for b in range(a + 1, n)]
     total = vanishing_bound(n, g)
-    required_rest = vanishing_bound(n - 1, g)
     if samples > 0:
+        _require_case_count(samples)
         rng = random.Random(seed)
         source: Iterable[tuple[int, ...]] = (
             sample_composition(total, len(keys), rng) for _ in range(samples)
         )
     else:
+        _require_case_count(math.comb(total + len(keys) - 1, len(keys) - 1))
         source = iter_compositions(total, len(keys))
     checked = 0
     failures = []
@@ -237,39 +248,45 @@ def pivot_lemma_check(ground: IndexSet, g: int, samples: int = 0,
         checked += 1
         # the keys ascend and zero counts are dropped, so the exponents are valid
         exps = tuple((key, c) for key, c in zip(keys, comp) if c)
-        mono = _trusted(Monomial, ground=ground, coeff=_Q1, exps=exps)
         try:
-            z = select_pivot(mono, g)
+            select_pivot(_trusted(Monomial, ground=ground, coeff=_Q1, exps=exps), g)
         except (PreconditionError, RuntimeError):
-            failures.append(comp)
-            continue
-        if _degree_avoiding(mono, z) < required_rest:
             failures.append(comp)
     return checked, failures
 
 
 def split_lemma_check(ground: IndexSet, g: int) -> tuple[int, list[tuple[int, ...]]]:
-    """Check the two-sided degree dichotomy at the exact threshold.
+    """Run ``branch_of_split`` on the two-sided degree dichotomy at the exact threshold.
 
-    For every bipartition size (h, w) of n-1 labels and every split (a, b)
-    with a + b = n(n-1)g - n + 2 - 2g*w*h, at least one of
-    a >= g*h*(h+1) - h + 1, b >= g*w*(w+1) - w + 1 must hold.  Returns
-    (checked, failing (h, w, a, b) tuples).
+    For every bipartition size (h, w) of the n-1 labels other than the first
+    and every split (a, b) with a + b = n(n-1)g - n + 2 - 2g*w*h, the monomial
+    with a on one left label and b on one right label must reach
+    g*h*(h+1) - h + 1 on the left or g*w*(w+1) - w + 1 on the right; a case
+    fails when ``branch_of_split`` raises RuntimeError.  Raises SizeLimitError
+    above LEMMA_CASE_LIMIT cases.  Returns (checked, failing (h, w, a, b)
+    tuples).
     """
     _require_g(g)
     n = len(ground)
     if n < 3:
         raise PreconditionError(f"split check needs at least 3 labels, got {n}")
+    pivot = ground.min()
+    rest = ground.without(pivot)
+    thresholds = {h: vanishing_bound(n, g) - 2 * g * (n - 1 - h) * h for h in range(1, n - 1)}
+    _require_case_count(sum(threshold + 1 for threshold in thresholds.values()))
     checked = 0
     failures = []
-    for h in range(1, n - 1):
+    for h, threshold in thresholds.items():
         w = n - 1 - h
-        threshold = vanishing_bound(n, g) - 2 * g * w * h
-        h_bound = vanishing_bound(h + 1, g)
-        w_bound = vanishing_bound(w + 1, g)
-        for a in range(max(threshold, 0) + 1):
+        outer = _trusted(Block, ground=rest, left=rest.elements[:h])
+        on_left, on_right = (pivot, rest.elements[0]), (pivot, rest.elements[h])
+        for a in range(threshold + 1):
             b = threshold - a
             checked += 1
-            if a < h_bound and b < w_bound:
+            # the keys ascend and zero counts are dropped, so the exponents are valid
+            exps = tuple((key, c) for key, c in ((on_left, a), (on_right, b)) if c)
+            try:
+                branch_of_split(_trusted(Monomial, ground=ground, coeff=_Q1, exps=exps), pivot, outer, g)
+            except RuntimeError:
                 failures.append((h, w, a, b))
     return checked, failures

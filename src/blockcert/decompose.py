@@ -10,12 +10,12 @@ nothing but normal forms, so the two sides act as independent witnesses.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from typing import Iterator
 
 from . import ring  # normal_form is looked up on the module, where perfbench/tracing.py wraps it
 from .combinatorics import (
     Block,
-    _require_g,
     branch_of_split,
     select_pivot,
     split_at,
@@ -91,49 +91,27 @@ Entries = dict[tuple[Label, ...], Terms]  # left part -> cofactor terms
 def _base_entries(mono: Monomial, g: int) -> Entries:
     """Closed form over two labels {u,v}: x[u,v]^a * x[v,u]^b with a+b >= 2g
     becomes (-1)^b * x[u,v]^(a+b-2g) on the block {u} x {v}; the coefficient
-    of ``mono`` is left to the caller."""
-    ground = mono.ground
-    if len(ground) != 2:
-        raise PreconditionError(f"closed form needs exactly 2 labels, got {ground.elements}")
-    u, v = ground.elements
+    of ``mono`` is left to the caller.  ``decompose``'s bound check (at the
+    top level) and the pivot and routing rules (below it) guarantee a+b >= 2g."""
+    u, v = mono.ground.elements
     a = mono.exponent((u, v))
     b = mono.exponent((v, u))
-    if a + b < 2 * g:
-        raise PreconditionError(f"degree {a + b} below 2g = {2 * g}")
     residual = a + b - 2 * g
     exps: Exponents = (((u, v), residual),) if residual else ()
     return {(u,): {exps: -1 if b & 1 else 1}}
-
-
-def _certificate(mono: Monomial, g: int, entries: Entries) -> Certificate:
-    """The certificate of ``mono`` from the entries of its unit-coefficient
-    monomial, each scaled by ``mono.coeff``, sorted by left part."""
-    ground = mono.ground
-    coeff = mono.coeff
-    return Certificate(ground, g, mono, tuple(
-        CertificateEntry(Block(ground, left),
-                         Polynomial.from_map(ground, {e: coeff * c for e, c in entries[left].items()}))
-        for left in sorted(entries)
-    ))
-
-
-def base_certificate(mono: Monomial, g: int) -> Certificate:
-    """The exact closed-form certificate for a two-label ground set."""
-    _require_g(g)
-    return _certificate(mono, g, _base_entries(mono, g))
 
 
 def merge_blocks(outer: Block, inner: Block, ground: IndexSet,
                  branch: str) -> tuple[Block, tuple[Pair, ...]]:
     """Combine an outer block (pivot removed) with an inner block (pivot present).
 
-    ``outer`` partitions ground minus a pivot z; ``inner`` partitions
-    outer.left + {z} on branch "H" or outer.right + {z} on branch "W".  The
-    inner block is transposed if needed so that z sits in its right part (H)
-    or left part (W).  Returns the merged block E over the full ground set,
-    with E.left = inner.left (H) or E.right = inner.right (W), together with
-    the leftover pairs of outer not absorbed into E.  Every pair of E comes
-    from outer or inner; violation of that containment is an internal error.
+    ``outer`` = L x R partitions ground minus a pivot z; ``inner`` partitions
+    L + {z} on branch "H" or R + {z} on branch "W", and is transposed if needed
+    so that z sits in its right part (H) or left part (W).  On H the inner
+    block A x (B + z) merges into A x (R + B + z), leaving B x R over; on W the
+    inner block (C + z) x D merges into (L + C + z) x D, leaving L x C over.
+    Returns the merged block over the full ground set and the leftover pairs
+    in ascending order.
     """
     if branch not in ("H", "W"):
         raise PreconditionError(f"branch must be 'H' or 'W', got {branch!r}")
@@ -150,19 +128,16 @@ def merge_blocks(outer: Block, inner: Block, ground: IndexSet,
         if pivot in inner.left:
             inner = inner.transpose()
         merged_left = inner.left
+        leftover = tuple(product((b for b in inner.right if b != pivot), outer.right))
     else:
         if pivot in inner.right:
             inner = inner.transpose()
         inner_right = set(inner.right)
         merged_left = tuple(lab for lab in ground if lab not in inner_right)
+        leftover = tuple(product(outer.left, (c for c in inner.left if c != pivot)))
     # valid by the checks above: inner.left (H) is nonempty and lacks the pivot; the
     # complement of inner.right (W) holds the pivot and misses the nonempty inner.right
-    merged = _trusted(Block, ground=ground, left=merged_left)
-    available = set(outer.pairs) | set(inner.pairs)
-    if not set(merged.pairs) <= available:
-        raise RuntimeError("internal consistency failure: merged block exceeds the available pairs")
-    leftover = tuple(sorted(available - set(merged.pairs)))
-    return merged, leftover
+    return _trusted(Block, ground=ground, left=merged_left), leftover
 
 
 def _add_product(acc: Terms, terms: Terms, factor: Exponents, scale: int = 1) -> None:
@@ -178,7 +153,7 @@ def _decompose_entries(mono: Monomial, g: int, budget: Iterator[int]) -> Entries
 
     The recursion is linear in the coefficient, so it runs on unit-coefficient
     monomials, where every binomial, sign and closed form is an integer, and
-    ``_certificate`` applies the input's coefficient once.  Each entry over the
+    ``decompose`` applies the input's coefficient once.  Each entry over the
     ground set minus the pivot is lifted in two phases.  Phase 1 routes and
     recurses, adding each inner cofactor term times its spare pairs and its
     integer coefficient into a bucket per (branch, inner left part).  Phase 2
@@ -205,16 +180,15 @@ def _decompose_entries(mono: Monomial, g: int, budget: Iterator[int]) -> Entries
     outer_mono = _trusted(Monomial, ground=outer_ground, coeff=_Q1, exps=rest.exps)
     for outer_left, theta in _decompose_entries(outer_mono, g, budget).items():
         outer_block = _trusted(Block, ground=outer_ground, left=outer_left)
-        left, right = outer_block.left, outer_block.right
         sub_grounds = {side: _trusted(IndexSet, elements=tuple(sorted(part + (pivot,))))
-                       for side, part in (("H", left), ("W", right))}
+                       for side, part in (("H", outer_block.left), ("W", outer_block.right))}
         buckets: dict[tuple[str, tuple[Label, ...]], Terms] = {}  # (branch, inner left) -> terms
         for exps, coeff in theta.items():
             # lifted has coefficient one, so every term it rewrites to has an
             # integer coefficient and p.coeff.numerator below is exact
             lifted = _trusted(Monomial, ground=ground, coeff=_Q1, exps=_merge_exps(touching.exps, exps))
             for p in rewrite_to_base(lifted, pivot).terms:
-                side, chosen, spare = branch_of_split(p, pivot, left, right, g)
+                side, chosen, spare = branch_of_split(p, pivot, outer_block, g)
                 # chosen reaches the bound of its side plus the pivot, checked by branch_of_split
                 selected = _trusted(Monomial, ground=sub_grounds[side], coeff=_Q1, exps=chosen)
                 scale = p.coeff.numerator * coeff
@@ -249,7 +223,13 @@ def decompose(mono: Monomial, g: int) -> Certificate:
         raise PreconditionError(
             f"degree {mono.degree} below the vanishing bound {bound} for n={n}, g={g}"
         )
-    return _certificate(mono, g, _decompose_entries(mono, g, iter(range(CALL_LIMIT))))
+    entries = _decompose_entries(mono, g, iter(range(CALL_LIMIT)))
+    ground, coeff = mono.ground, mono.coeff
+    return Certificate(ground, g, mono, tuple(
+        CertificateEntry(Block(ground, left),
+                         Polynomial.from_map(ground, {e: coeff * c for e, c in entries[left].items()}))
+        for left in sorted(entries)
+    ))
 
 
 def verify_certificate(cert: Certificate) -> bool:

@@ -19,7 +19,6 @@ from blockcert import (
     ParseError,
     Polynomial,
     SizeLimitError,
-    base_certificate,
     certificate_from_json,
     certificate_to_json,
     decompose,
@@ -102,6 +101,9 @@ def test_print_examples():
             poly_to_str(p)
         with pytest.raises(SizeLimitError, match="too many digits"):
             poly_to_json(p)
+    # so is an exponent
+    with pytest.raises(SizeLimitError, match="too many digits"):
+        poly_to_str(Monomial.make(X3, 1, {(1, 2): 10 ** 4400}).as_poly())
 
 
 def test_parse_print_round_trip_randomized():
@@ -134,14 +136,14 @@ def test_certificate_json_round_trip():
 
 
 def test_certificate_json_coefficients_are_strings():
-    cert = base_certificate(Monomial.make(X2, Fraction(3, 2), {(1, 2): 5}), 2)
+    cert = decompose(Monomial.make(X2, Fraction(3, 2), {(1, 2): 5}), 2)
     obj = certificate_to_json(cert)
     assert obj["input"]["terms"][0]["coeff"] == "3/2"
     assert obj["entries"][0]["cofactor"]["terms"][0]["coeff"] == "3/2"
 
 
 def test_malformed_certificate_json_rejected():
-    good = certificate_to_json(base_certificate(Monomial.make(X2, 1, {(1, 2): 4}), 2))
+    good = certificate_to_json(decompose(Monomial.make(X2, 1, {(1, 2): 4}), 2))
 
     bad = json.loads(json.dumps(good))
     bad["entries"][0]["left"] = []
@@ -344,7 +346,7 @@ def test_exit_codes_for_errors(capsys, tmp_path, monkeypatch):
     assert code == 2 and "bad ground set" in err
     code, _, _ = run_cli(capsys, "bound", "--ground", "1,2", "--g", "\uff12")
     assert code == 2
-    cert = certificate_to_json(base_certificate(Monomial.make(X2, 1, {(1, 2): 4}), 2))
+    cert = certificate_to_json(decompose(Monomial.make(X2, 1, {(1, 2): 4}), 2))
     cert["entries"][0]["cofactor"]["terms"][0]["coeff"] = "\uff11"
     path = tmp_path / "cert.json"
     path.write_text(json.dumps(cert), encoding="utf-8")
@@ -354,7 +356,7 @@ def test_exit_codes_for_errors(capsys, tmp_path, monkeypatch):
     code, out, err = run_cli(capsys, "nf", "--ground", "1,2,3", "x[1,2]\u3000+ x[1,3]")
     assert code == 2 and out == "" and "position 6" in err
     # a key repeated at any level -> 2, never read as its last value; from stdin and from a file
-    good = json.dumps(certificate_to_json(base_certificate(Monomial.make(X2, 1, {(1, 2): 4}), 2)))
+    good = json.dumps(certificate_to_json(decompose(Monomial.make(X2, 1, {(1, 2): 4}), 2)))
     for repeated in (good.replace('"g": 2', '"g": 5, "g": 2'),
                      good.replace('"coeff": "1"', '"coeff": "7", "coeff": "1"', 1)):
         assert repeated != good
@@ -382,6 +384,25 @@ def test_exit_codes_for_errors(capsys, tmp_path, monkeypatch):
     # a cofactor coefficient longer than the interpreter prints -> 3, not a traceback and exit 1
     code, out, err = run_cli(capsys, "decompose", "--ground", "1,2,3", "--g", "2", "9" * 4299 + "*x[1,2]^11")
     assert code == 3 and out == "" and "too many digits" in err
+    # so is any other integer printed: a residual exponent of 4,301 digits, a bound of 4,301 digits
+    nines = "9" * 4300
+    for args in (("decompose", "--ground", "1,2", "--g", "2", f"x[1,2]^{nines}*x[2,1]^{nines}"),
+                 ("bound", "--ground", "1,2,3", "--g", nines)):
+        code, out, err = run_cli(capsys, *args)
+        assert code == 3 and out == "" and "too many digits" in err
+    # lemma checks count their cases before running any: one past the limit of 10^6, then
+    # cases that did not finish within 10 s (4 * 10^9, 18,003,000, 10^8 and 1,101,716,330 cases)
+    start = time.perf_counter()
+    for args in (("lemma-partition", "--ground", "1,2,3", "--g", "250001"),
+                 ("lemma-lines", "--ground", "1,2,3", "--g", "236"),
+                 ("lemma-lines", "--ground", "1,2,3", "--g", "2", "--samples", "1000001"),
+                 ("lemma-partition", "--ground", "1,2,3", "--g", "1000000000"),
+                 ("lemma-lines", "--ground", "1,2,3", "--g", "1000"),
+                 ("lemma-lines", "--ground", "1,2,3", "--g", "2", "--samples", "100000000"),
+                 ("lemma-lines", "--ground", "1,2,3,4,5", "--g", "2")):
+        code, out, err = run_cli(capsys, *args)
+        assert code == 3 and out == "" and "above the limit 1000000" in err
+    assert time.perf_counter() - start < 5
 
 
 def test_cmd_verify_non_utf8_stdin_bytes():
@@ -396,7 +417,7 @@ def test_cmd_verify_non_utf8_stdin_bytes():
 
 def test_cmd_verify_reads_stdin(capsys, monkeypatch):
     payload = json.dumps(certificate_to_json(
-        base_certificate(Monomial.make(X2, 1, {(1, 2): 4}), 2)
+        decompose(Monomial.make(X2, 1, {(1, 2): 4}), 2)
     ))
     monkeypatch.setattr("sys.stdin", io.StringIO(payload))
     code, out, _ = run_cli(capsys, "verify")

@@ -9,6 +9,7 @@ from blockcert import (
     IndexSet,
     Monomial,
     PreconditionError,
+    SizeLimitError,
     branch_of_split,
     enumerate_blocks,
     iter_compositions,
@@ -19,6 +20,7 @@ from blockcert import (
     split_lemma_check,
     vanishing_bound,
 )
+from blockcert import combinatorics
 from blockcert.combinatorics import _degree_avoiding
 from helpers import random_monomial, standard_ground
 
@@ -138,14 +140,15 @@ def test_split_at_requires_member():
 
 def test_branch_of_split_examples():
     # degree 7 = threshold for n=3, g=2, h=w=1; left side misses its bound of 4
+    outer = Block(IndexSet((2, 3)), (2,))
     m = Monomial.make(X3, 1, {(1, 2): 3, (1, 3): 4})
-    assert branch_of_split(m, 1, (2,), (3,), 2) == ("W", (((1, 3), 4),), (((1, 2), 3),))
+    assert branch_of_split(m, 1, outer, 2) == ("W", (((1, 3), 4),), (((1, 2), 3),))
     # everything on the left side
     m = Monomial.make(X3, 1, {(1, 2): 7})
-    assert branch_of_split(m, 1, (2,), (3,), 2) == ("H", (((1, 2), 7),), ())
+    assert branch_of_split(m, 1, outer, 2) == ("H", (((1, 2), 7),), ())
     # ties prefer H: 4 on the left meets the bound even with 3 on the right
     m = Monomial.make(X3, 1, {(1, 2): 4, (1, 3): 3})
-    assert branch_of_split(m, 1, (2,), (3,), 2).side == "H"
+    assert branch_of_split(m, 1, outer, 2).side == "H"
 
 
 def test_branch_of_split_partitions_the_factors():
@@ -159,14 +162,14 @@ def test_branch_of_split_partitions_the_factors():
         others = [lab for lab in ground if lab != pivot]
         rng.shuffle(others)
         h = rng.randint(1, n - 2)
-        left, right = sorted(others[:h]), sorted(others[h:])
+        outer = Block(ground.without(pivot), tuple(sorted(others[:h])))
         required = vanishing_bound(n, g) - 2 * g * h * (n - 1 - h)
         degree = required + rng.randint(0, 3)
         spread = sample_composition(degree, n - 1, rng)
         m = Monomial.make(ground, 1, {(pivot, j): e for j, e in zip(sorted(others), spread)})
-        side, chosen, spare = branch_of_split(m, pivot, left, right, g)
+        side, chosen, spare = branch_of_split(m, pivot, outer, g)
         assert tuple(sorted(chosen + spare)) == m.exps
-        part = left if side == "H" else right
+        part = outer.left if side == "H" else outer.right
         assert all(j in part for (_, j), _ in chosen)
         assert all(j not in part for (_, j), _ in spare)
         assert sum(e for _, e in chosen) >= vanishing_bound(len(part) + 1, g)
@@ -175,16 +178,20 @@ def test_branch_of_split_partitions_the_factors():
 def test_branch_of_split_degree_precondition():
     m = Monomial.make(X3, 1, {(1, 2): 3, (1, 3): 3})
     with pytest.raises(PreconditionError, match="degree 6 below required 7"):
-        branch_of_split(m, 1, (2,), (3,), 2)
+        branch_of_split(m, 1, Block(IndexSet((2, 3)), (2,)), 2)
 
 
 def test_branch_of_split_validates_shape():
     m = Monomial.make(X3, 1, {(2, 3): 7})
     with pytest.raises(PreconditionError, match="variables"):
-        branch_of_split(m, 1, (2,), (3,), 2)
+        branch_of_split(m, 1, Block(IndexSet((2, 3)), (2,)), 2)
+    # the outer block must be a block of the ground set minus the pivot
     m = Monomial.make(X3, 1, {(1, 2): 7})
-    with pytest.raises(PreconditionError, match="partition"):
-        branch_of_split(m, 1, (2,), (2, 3), 2)
+    for outer in (Block(X3, (2,)), Block(IndexSet((1, 2)), (2,)), Block(IndexSet((2, 3, 4)), (2,))):
+        with pytest.raises(PreconditionError, match="minus the pivot"):
+            branch_of_split(m, 1, outer, 2)
+    with pytest.raises(PreconditionError, match="not in ground set"):
+        branch_of_split(m, 4, Block(IndexSet((2, 3)), (2,)), 2)
 
 
 def test_split_lemma_exhaustive():
@@ -194,6 +201,37 @@ def test_split_lemma_exhaustive():
             checked, failures = split_lemma_check(standard_ground(n), g)
             assert failures == []
             assert checked > 0
+
+
+def test_lemma_checks_count_cases_before_running(monkeypatch):
+    # n = 3, g = 2: 78 compositions of 11 into 3 slots, 8 splits of 7, or the sample count
+    monkeypatch.setattr(combinatorics, "LEMMA_CASE_LIMIT", 78)
+    assert pivot_lemma_check(X3, 2) == (78, [])
+    monkeypatch.setattr(combinatorics, "LEMMA_CASE_LIMIT", 77)
+    with pytest.raises(SizeLimitError, match="78 cases, above the limit 77"):
+        pivot_lemma_check(X3, 2)
+    monkeypatch.setattr(combinatorics, "LEMMA_CASE_LIMIT", 8)
+    assert split_lemma_check(X3, 2) == (8, [])
+    assert pivot_lemma_check(X3, 2, samples=8, seed=1) == (8, [])
+    monkeypatch.setattr(combinatorics, "LEMMA_CASE_LIMIT", 7)
+    with pytest.raises(SizeLimitError, match="8 cases, above the limit 7"):
+        split_lemma_check(X3, 2)
+    with pytest.raises(SizeLimitError, match="8 cases, above the limit 7"):
+        pivot_lemma_check(X3, 2, samples=8, seed=1)
+
+
+def test_split_lemma_reports_each_failing_case(monkeypatch):
+    # the check runs branch_of_split itself, so a RuntimeError there is a failing case
+    real = combinatorics.branch_of_split
+
+    def fails_once(mono, pivot, outer, g):
+        if mono.exps == (((1, 2), 3), ((1, 3), 4)):
+            raise RuntimeError("neither side reaches its bound")
+        return real(mono, pivot, outer, g)
+
+    monkeypatch.setattr(combinatorics, "branch_of_split", fails_once)
+    # n = 3, g = 2: h = w = 1 and a + b = 7, so 8 cases
+    assert split_lemma_check(X3, 2) == (8, [(1, 1, 3, 4)])
 
 
 # -- composition helpers -----------------------------------------------------------

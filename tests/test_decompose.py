@@ -16,7 +16,6 @@ from blockcert import (
     Polynomial,
     PreconditionError,
     SizeLimitError,
-    base_certificate,
     certificate_to_json,
     decompose,
     enumerate_blocks,
@@ -60,34 +59,34 @@ def test_vanishing_bound_preconditions():
 
 # -- two-label closed form -----------------------------------------------------
 
-def test_base_certificate_examples():
-    cert = base_certificate(Monomial.make(X2, 5, {(1, 2): 3, (2, 1): 2}), 2)
+def test_decompose_two_labels_examples():
+    cert = decompose(Monomial.make(X2, 5, {(1, 2): 3, (2, 1): 2}), 2)
     assert cert.entries == (
         CertificateEntry(Block(X2, (1,)), Polynomial.from_terms(
             X2, [Monomial.make(X2, 5, {(1, 2): 1})])),
     )
-    cert = base_certificate(Monomial.make(X2, 1, {(1, 2): 4}), 2)
+    cert = decompose(Monomial.make(X2, 1, {(1, 2): 4}), 2)
     assert cert.entries[0].cofactor == Polynomial.constant(X2, 1)
     # odd count of reversed factors flips the sign, even count does not
-    cert = base_certificate(Monomial.make(X2, 1, {(2, 1): 4}), 2)
+    cert = decompose(Monomial.make(X2, 1, {(2, 1): 4}), 2)
     assert cert.entries[0].cofactor == Polynomial.constant(X2, 1)
-    cert = base_certificate(Monomial.make(X2, 1, {(1, 2): 2, (2, 1): 3}), 2)
+    cert = decompose(Monomial.make(X2, 1, {(1, 2): 2, (2, 1): 3}), 2)
     assert cert.entries[0].cofactor == Polynomial.constant(X2, -1) * Polynomial.variable(X2, 1, 2)
 
 
-def test_base_certificate_below_threshold():
-    with pytest.raises(PreconditionError, match="below 2g"):
-        base_certificate(Monomial.make(X2, 1, {(1, 2): 3}), 2)
+def test_decompose_two_labels_below_threshold():
+    with pytest.raises(PreconditionError, match="degree 3 below the vanishing bound 4"):
+        decompose(Monomial.make(X2, 1, {(1, 2): 3}), 2)
 
 
-def test_base_certificate_matches_closed_formula_sweep():
+def test_decompose_two_labels_equals_closed_form():
     for g in (2, 3):
         for total in range(2 * g, 2 * g + 4):
             for a in range(total + 1):
                 b = total - a
                 lam = Fraction(7, 3)
                 mono = Monomial.make(X2, lam, {(1, 2): a, (2, 1): b})
-                cert = base_certificate(mono, g)
+                cert = decompose(mono, g)
                 entry, = cert.entries
                 assert entry.block == Block(X2, (1,))
                 expected = Monomial.make(
@@ -168,11 +167,6 @@ def test_merge_blocks_validation():
 
 
 # -- decompose --------------------------------------------------------------------
-
-def test_decompose_two_labels_equals_closed_form():
-    mono = Monomial.make(X2, 1, {(1, 2): 3, (2, 1): 2})
-    assert decompose(mono, 2) == base_certificate(mono, 2)
-
 
 def test_decompose_three_label_example():
     mono = Monomial.make(X3, 1, {(1, 2): 4, (1, 3): 4, (2, 1): 3})
@@ -299,7 +293,7 @@ def test_decompose_rejects_non_monomial():
 # -- verification ------------------------------------------------------------------
 
 def test_verify_base_case_true():
-    cert = base_certificate(Monomial.make(X2, 5, {(1, 2): 3, (2, 1): 2}), 2)
+    cert = decompose(Monomial.make(X2, 5, {(1, 2): 3, (2, 1): 2}), 2)
     assert verify_certificate(cert)
 
 
@@ -402,8 +396,7 @@ def perturbed_certificates(cert):
 def test_verify_agrees_with_polynomial_arithmetic():
     """On both golden corpora and two perturbations of each certificate, the
     packed-key verifier answers exactly as input = sum of cofactor * block monomial."""
-    certs = [decompose(mono, g) for mono, g in golden_inputs()]
-    certs += [build(mono, g) for build, mono, g in above_bound_inputs()]
+    certs = [decompose(mono, g) for mono, g in (*golden_inputs(), *above_bound_inputs())]
     answers = {True: 0, False: 0}
     for cert in certs:
         assert verify_certificate(cert) and claimed_sum_matches(cert)

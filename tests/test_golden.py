@@ -4,15 +4,16 @@
 test pins the canonical JSON of 40 certificates at the vanishing bound (n = 3
 and 4, g = 2 and 3) to one sha256, so any change to the arithmetic underneath
 that alters a single coefficient, term order or entry order fails here.  The
-second pins what the first leaves out: two labels, through both ``decompose``
-and ``base_certificate``, and degrees one to three above the bound.
+second pins what the first leaves out: two labels (two monomials per degree,
+built by the closed form inside ``decompose``), and degrees one to three above
+the bound.
 """
 
 import hashlib
 import json
 import random
 
-from blockcert import base_certificate, certificate_to_json, decompose, vanishing_bound
+from blockcert import certificate_to_json, decompose, vanishing_bound
 from helpers import random_monomial, standard_ground
 
 GOLDEN_SHA256 = "0048e40a583b16b4e3fcecc96be037106736719d584778d752adeb33507ec5c9"
@@ -32,13 +33,13 @@ def above_bound_inputs():
     for g in (2, 3):
         bound = vanishing_bound(2, g)
         for d in range(bound, bound + 4):
-            yield decompose, random_monomial(rng, standard_ground(2), d), g
-            yield base_certificate, random_monomial(rng, standard_ground(2), d), g
+            for _ in range(2):
+                yield random_monomial(rng, standard_ground(2), d), g
     for n, per_degree in ((3, 3), (4, 2)):
         for g in (2, 3):
             for offset in (1, 2, 3):
                 for _ in range(per_degree):
-                    yield decompose, random_monomial(rng, standard_ground(n), vanishing_bound(n, g) + offset), g
+                    yield random_monomial(rng, standard_ground(n), vanishing_bound(n, g) + offset), g
 
 
 def corpus_digest(certificates) -> tuple[int, str]:
@@ -58,6 +59,6 @@ def test_golden_certificates_are_byte_identical():
 
 
 def test_golden_two_labels_and_above_bound_are_byte_identical():
-    count, hexdigest = corpus_digest(build(mono, g) for build, mono, g in above_bound_inputs())
+    count, hexdigest = corpus_digest(decompose(mono, g) for mono, g in above_bound_inputs())
     assert count == 46
     assert hexdigest == ABOVE_BOUND_SHA256
