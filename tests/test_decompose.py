@@ -80,6 +80,14 @@ def test_decompose_two_labels_below_threshold():
 
 
 def test_decompose_two_labels_equals_closed_form():
+    mono = Monomial.make(X2, 1, {(1, 2): 3, (2, 1): 2})
+    cofactor = Monomial.make(X2, 1, {(1, 2): 1}).as_poly()
+    assert decompose(mono, 2) == Certificate(
+        X2, 2, mono, (CertificateEntry(Block(X2, (1,)), cofactor),)
+    )
+
+
+def test_base_certificate_matches_closed_formula_sweep():
     for g in (2, 3):
         for total in range(2 * g, 2 * g + 4):
             for a in range(total + 1):
