@@ -1,15 +1,13 @@
-"""Exact block-monomial membership certificates in a pair-relation ring."""
+"""Exact block-monomial membership certificates in a pair-relation ring.
+
+Exports what the README, the command line and the benchmark use; the
+recursion steps and ``hilbert.IntRowSpace`` stay in their own modules.
+"""
 
 from .combinatorics import (
     Block,
-    BranchChoice,
-    branch_of_split,
     enumerate_blocks,
-    iter_compositions,
     pivot_lemma_check,
-    sample_composition,
-    select_pivot,
-    split_at,
     split_lemma_check,
     vanishing_bound,
 )
@@ -17,7 +15,6 @@ from .decompose import (
     Certificate,
     CertificateEntry,
     decompose,
-    merge_blocks,
     verify_certificate,
 )
 from .errors import (
@@ -30,20 +27,17 @@ from .errors import (
 from .hilbert import (
     BlockIdealSlice,
     GradedReport,
-    IntRowSpace,
     block_ideal_slice,
     dim_quotient_graded,
     dim_ring_graded,
     graded_report,
 )
 from .ring import (
-    MINUS_INFINITY,
     IndexSet,
     Monomial,
     Polynomial,
     eq_mod_relations,
     normal_form,
-    relation_generators,
     rewrite_to_base,
 )
 from .cli import (
@@ -61,14 +55,11 @@ __version__ = "0.1.0"
 __all__ = [
     "Block",
     "BlockIdealSlice",
-    "BranchChoice",
     "Certificate",
     "CertificateEntry",
     "GradedReport",
     "GroundMismatchError",
     "IndexSet",
-    "IntRowSpace",
-    "MINUS_INFINITY",
     "MalformedCertificateError",
     "Monomial",
     "ParseError",
@@ -76,7 +67,6 @@ __all__ = [
     "PreconditionError",
     "SizeLimitError",
     "block_ideal_slice",
-    "branch_of_split",
     "certificate_from_json",
     "certificate_to_json",
     "decompose",
@@ -85,20 +75,14 @@ __all__ = [
     "enumerate_blocks",
     "eq_mod_relations",
     "graded_report",
-    "iter_compositions",
     "main",
-    "merge_blocks",
     "normal_form",
     "parse_poly",
     "pivot_lemma_check",
     "poly_from_json",
     "poly_to_json",
     "poly_to_str",
-    "relation_generators",
     "rewrite_to_base",
-    "sample_composition",
-    "select_pivot",
-    "split_at",
     "split_lemma_check",
     "vanishing_bound",
     "verify_certificate",

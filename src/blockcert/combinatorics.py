@@ -1,10 +1,17 @@
-"""Blocks of a ground set, pivot selection, monomial splits.
+"""Blocks of a ground set, pivot selection, monomial splits, and the lemma checks.
 
 A block is an ordered bipartition (left, right) of the ground set; its pairs
 are left x right.  The decomposition driver picks a pivot label whose removal
 keeps enough degree among the remaining labels, splits monomials accordingly,
 and routes base-variable monomials to one side of a block by a two-sided
 degree dichotomy.  Everything here is deterministic and exact.
+
+``Block``, ``enumerate_blocks``, ``vanishing_bound`` and the lemma checks are
+exported and check their arguments.  The steps ``select_pivot``, ``split_at``
+and ``branch_of_split`` and the composition helpers trust theirs: only the
+recursion and the lemma checks call them, with values built from checked
+parts.  A step still raises RuntimeError on an internal consistency failure,
+which the lemma checks count.
 """
 
 from __future__ import annotations
@@ -89,16 +96,7 @@ def select_pivot(mono: Monomial, g: int) -> Label:
     degree >= (n-1)(n-2)g - n + 3 on the variables that avoid it, both
     orientations of a pair counted; the smallest such z is returned.
     """
-    _require_g(g)
-    n = len(mono.ground)
-    if n < 3:
-        raise PreconditionError(f"pivot selection needs at least 3 labels, got {n}")
-    required_total = vanishing_bound(n, g)
-    if mono.degree < required_total:
-        raise PreconditionError(
-            f"degree {mono.degree} below required {required_total} for n={n}, g={g}"
-        )
-    required_rest = vanishing_bound(n - 1, g)
+    required_rest = vanishing_bound(len(mono.ground) - 1, g)
     for z in mono.ground:
         if _degree_avoiding(mono, z) >= required_rest:
             return z
@@ -111,8 +109,6 @@ def split_at(mono: Monomial, pivot: Label) -> tuple[Monomial, Monomial]:
     ``touching`` collects every factor x[i,pivot] or x[pivot,j] and carries the
     coefficient; ``rest`` has coefficient one.  Their product is ``mono``.
     """
-    if pivot not in mono.ground:
-        raise PreconditionError(f"label {pivot} not in ground set {mono.ground.elements}")
     touching = tuple(item for item in mono.exps if pivot in item[0])
     rest = tuple(item for item in mono.exps if pivot not in item[0])
     return (
@@ -138,17 +134,11 @@ def branch_of_split(mono: Monomial, pivot: Label, outer: Block, g: int) -> Branc
     factors of ``mono`` on it, whose degree reaches that side's bound, and
     the spare factors.
     """
-    _require_g(g)
-    ground = mono.ground
-    if outer.ground != ground.without(pivot):
-        raise PreconditionError("outer block must partition the ground set minus the pivot")
     left = outer.left
     on_left, on_right = [], []
     left_degree = right_degree = 0
     for item in mono.exps:
-        (i, j), e = item
-        if i != pivot:
-            raise PreconditionError(f"expected a monomial in variables x[{pivot},j] only")
+        (_, j), e = item
         if j in left:
             on_left.append(item)
             left_degree += e
@@ -156,14 +146,7 @@ def branch_of_split(mono: Monomial, pivot: Label, outer: Block, g: int) -> Branc
             on_right.append(item)
             right_degree += e
     h = len(left)
-    n = len(ground)
-    w = n - 1 - h
-    required = vanishing_bound(n, g) - 2 * g * w * h
-    degree = left_degree + right_degree
-    if degree < required:
-        raise PreconditionError(
-            f"degree {degree} below required {required} for n={n}, g={g}, h={h}, w={w}"
-        )
+    w = len(outer.ground) - h
     if left_degree >= vanishing_bound(h + 1, g):
         return BranchChoice("H", tuple(on_left), tuple(on_right))
     if right_degree < vanishing_bound(w + 1, g):
@@ -176,8 +159,6 @@ def iter_compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
 
     Deterministic order: first coordinate descending, then recursively.
     """
-    if parts < 1 or total < 0:
-        raise PreconditionError(f"need parts >= 1 and total >= 0, got {parts}, {total}")
     if parts == 1:
         yield (total,)
         return
@@ -188,8 +169,6 @@ def iter_compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
 
 def sample_composition(total: int, parts: int, rng: random.Random) -> tuple[int, ...]:
     """One composition drawn uniformly from all of them (stars and bars)."""
-    if parts < 1 or total < 0:
-        raise PreconditionError(f"need parts >= 1 and total >= 0, got {parts}, {total}")
     if parts == 1:
         return (total,)
     slots = total + parts - 1
@@ -223,8 +202,8 @@ def pivot_lemma_check(ground: IndexSet, g: int, samples: int = 0,
     the monomial with exponent c on x[i,j]; the check runs over all of them,
     or over ``samples`` uniform draws when ``samples`` > 0, and raises
     SizeLimitError above LEMMA_CASE_LIMIT cases.  A composition fails when
-    ``select_pivot`` raises.  Returns (checked, failing compositions); the
-    second entry should always be empty.
+    ``select_pivot`` raises RuntimeError.  Returns (checked, failing
+    compositions); the second entry should always be empty.
     """
     _require_g(g)
     n = len(ground)
@@ -250,7 +229,7 @@ def pivot_lemma_check(ground: IndexSet, g: int, samples: int = 0,
         exps = tuple((key, c) for key, c in zip(keys, comp) if c)
         try:
             select_pivot(_trusted(Monomial, ground=ground, coeff=_Q1, exps=exps), g)
-        except (PreconditionError, RuntimeError):
+        except RuntimeError:
             failures.append(comp)
     return checked, failures
 

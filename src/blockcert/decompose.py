@@ -111,19 +111,10 @@ def merge_blocks(outer: Block, inner: Block, ground: IndexSet,
     block A x (B + z) merges into A x (R + B + z), leaving B x R over; on W the
     inner block (C + z) x D merges into (L + C + z) x D, leaving L x C over.
     Returns the merged block over the full ground set and the leftover pairs
-    in ascending order.
+    in ascending order.  The shapes are not checked: ``_decompose_entries``
+    builds them.
     """
-    if branch not in ("H", "W"):
-        raise PreconditionError(f"branch must be 'H' or 'W', got {branch!r}")
-    pivots = set(inner.ground) - set(outer.ground)
-    if len(pivots) != 1:
-        raise PreconditionError("inner ground set must extend the outer one by exactly one pivot label")
-    pivot = pivots.pop()
-    if outer.ground != ground.without(pivot):
-        raise PreconditionError("outer block must partition the ground set minus the pivot")
-    side = outer.left if branch == "H" else outer.right
-    if set(inner.ground) != set(side) | {pivot}:
-        raise PreconditionError(f"inner ground set must be the outer {branch}-side plus the pivot")
+    (pivot,) = set(inner.ground) - set(outer.ground)
     if branch == "H":
         if pivot in inner.left:
             inner = inner.transpose()
@@ -135,7 +126,7 @@ def merge_blocks(outer: Block, inner: Block, ground: IndexSet,
         inner_right = set(inner.right)
         merged_left = tuple(lab for lab in ground if lab not in inner_right)
         leftover = tuple(product(outer.left, (c for c in inner.left if c != pivot)))
-    # valid by the checks above: inner.left (H) is nonempty and lacks the pivot; the
+    # valid by the shapes above: inner.left (H) is nonempty and lacks the pivot; the
     # complement of inner.right (W) holds the pivot and misses the nonempty inner.right
     return _trusted(Block, ground=ground, left=merged_left), leftover
 
@@ -257,7 +248,7 @@ def verify_certificate(cert: Certificate) -> bool:
             return False
     # Every product below has the input's degree, so keys for that degree never carry.
     ground = cert.ground
-    _require_expandable((degree,), len(ground) - 1)
+    _require_expandable(ground, (zeta,), ground.min())
     keys = _BaseKeys(ground, ground.min(), degree)
     forms = [ring.normal_form(entry.cofactor).terms for entry in cert.entries]
     scale = _common_denominator((zeta, *(t for terms in forms for t in terms)))

@@ -27,37 +27,13 @@ Exponents = tuple[tuple[Pair, int], ...]
 _Q0 = Fraction(0)
 _Q1 = Fraction(1)
 
-# Cap on the sum, over the terms of one expansion, of degree x
-# C(degree + w - 1, w - 1) over w base variables: the number of base monomials
-# a term's expansion can reach, times the bit growth of its binomial
-# coefficients.  One term of degree 57 over 5 labels (the vanishing bound for
-# g = 3) measures 1.95e6; x[2,3]^9999 measures 1e8 and takes seconds, and so
-# do eight terms of degree 3161 over 3 labels, 1e7 each.
+# Cap on the sum, over the terms of one expansion, of each term's measure
+# (``_require_expandable``): the products its expansion runs, at most the base
+# monomials it can reach, times the bit growth of its binomial coefficients.
+# One term of degree 57 over 5 labels (the vanishing bound for g = 3) measures
+# at most 1.95e6; x[2,3]^9999 measures 1e8 and takes seconds, and so do eight
+# terms of degree 3161 over 3 labels, 1e7 each.
 EXPANSION_LIMIT = 10_000_000
-
-
-class _MinusInfinity:
-    """Degree of the zero polynomial: below every integer, equal only to itself."""
-
-    __slots__ = ()
-
-    def __lt__(self, other):
-        return other is not self
-
-    def __le__(self, other):
-        return True
-
-    def __gt__(self, other):
-        return False
-
-    def __ge__(self, other):
-        return other is self
-
-    def __repr__(self):
-        return "-infinity"
-
-
-MINUS_INFINITY = _MinusInfinity()
 
 
 def _trusted(cls, **fields):
@@ -71,11 +47,6 @@ def _trusted(cls, **fields):
     return obj
 
 
-def _require_label(lab) -> None:
-    if type(lab) is not int or lab < 0:  # exactly int: bool and float are refused
-        raise PreconditionError(f"labels must be nonnegative integers, got {lab!r}")
-
-
 @dataclass(frozen=True)
 class IndexSet:
     """Finite set of nonnegative integer labels, stored strictly ascending."""
@@ -86,7 +57,8 @@ class IndexSet:
         elems = tuple(self.elements)
         object.__setattr__(self, "elements", elems)
         for lab in elems:
-            _require_label(lab)
+            if type(lab) is not int or lab < 0:  # exactly int: bool and float are refused
+                raise PreconditionError(f"labels must be nonnegative integers, got {lab!r}")
         for a, b in zip(elems, elems[1:]):
             if a >= b:
                 raise PreconditionError(f"labels must be strictly ascending, got {elems}")
@@ -109,12 +81,6 @@ class IndexSet:
         if label not in self:
             raise PreconditionError(f"label {label} not in ground set {self.elements}")
         return _trusted(IndexSet, elements=tuple(e for e in self.elements if e != label))
-
-    def adjoin(self, label: Label) -> "IndexSet":
-        if label in self:
-            raise PreconditionError(f"label {label} already in ground set {self.elements}")
-        _require_label(label)
-        return _trusted(IndexSet, elements=tuple(sorted(self.elements + (label,))))
 
 
 def _require_ring_ground(ground: IndexSet) -> None:
@@ -265,15 +231,6 @@ class Polynomial:
         return cls(ground, (Monomial(ground, _Q1, (((i, j), 1),)),))
 
     @classmethod
-    def from_terms(cls, ground: IndexSet, monomials: Iterable[Monomial]) -> "Polynomial":
-        acc: dict[Exponents, Fraction] = {}
-        for m in monomials:
-            if m.ground != ground:
-                raise GroundMismatchError("term ground set differs from polynomial ground set")
-            acc[m.exps] = acc.get(m.exps, _Q0) + m.coeff
-        return cls.from_map(ground, acc)
-
-    @classmethod
     def from_map(cls, ground: IndexSet, mapping: Mapping[Exponents, Fraction]) -> "Polynomial":
         """Build from an exponents -> coefficient map; zero coefficients are dropped."""
         _require_ring_ground(ground)
@@ -286,8 +243,10 @@ class Polynomial:
         return not self.terms
 
     @property
-    def degree(self):
-        return self.terms[0].degree if self.terms else MINUS_INFINITY
+    def degree(self) -> int:
+        if not self.terms:
+            raise PreconditionError("the zero polynomial has no degree")
+        return self.terms[0].degree
 
     def is_homogeneous(self) -> bool:
         return len({t.degree for t in self.terms}) <= 1
@@ -325,24 +284,28 @@ class Polynomial:
                 acc[key] = acc.get(key, _Q0) + cs * t.coeff
         return Polynomial.from_map(self.ground, acc)
 
-    def __pow__(self, n: int) -> "Polynomial":
-        if not isinstance(n, int) or n < 0:
-            raise PreconditionError(f"polynomial power must be a nonnegative integer, got {n!r}")
-        result = Polynomial.constant(self.ground, 1)
-        square = self
-        while n:
-            if n & 1:
-                result = result * square
-            n >>= 1
-            if n:
-                square = square * square
-        return result
 
+def _require_expandable(ground: IndexSet, terms: Iterable[Monomial], base: Label) -> None:
+    """Raise SizeLimitError when ``terms`` measure above EXPANSION_LIMIT in sum.
 
-def _require_expandable(degrees: Iterable[int], width: int) -> None:
-    """Raise SizeLimitError when terms of ``degrees`` over ``width`` base
-    variables measure above EXPANSION_LIMIT in sum."""
-    size = sum(d * math.comb(d + width - 1, width - 1) for d in degrees)
+    A term of degree d measures d * min(P, C(d + w - 1, w - 1)) over the w
+    base variables x[base,j], where P is the product of e + 1 over its powers
+    x[i,j]^e off the base label, both orientations of a pair folded into one
+    power as ``_BaseKeys.expand`` folds them: the product loop the expansion
+    runs, capped by the base monomials it can reach, times the bit growth of
+    the coefficients.
+    """
+    width = len(ground) - 1
+    size = 0
+    for t in terms:
+        powers: dict[Pair, int] = {}
+        for (i, j), e in t.exps:
+            if i != base and j != base:
+                pair = (i, j) if i < j else (j, i)
+                powers[pair] = powers.get(pair, 0) + e
+        degree = t.degree
+        size += degree * min(math.prod(e + 1 for e in powers.values()),
+                             math.comb(degree + width - 1, width - 1))
     if size > EXPANSION_LIMIT:
         raise SizeLimitError(
             f"expanding terms over {width} base variables measures {size}, "
@@ -482,9 +445,8 @@ def _to_base(ground: IndexSet, terms: tuple[Monomial, ...], base: Label) -> Poly
     divided by that denominator once.  Raises SizeLimitError before expanding
     anything when the terms together exceed EXPANSION_LIMIT.
     """
-    degrees = [t.degree for t in terms]
-    _require_expandable(degrees, len(ground) - 1)
-    keys = _BaseKeys(ground, base, max(degrees, default=0))
+    _require_expandable(ground, terms, base)
+    keys = _BaseKeys(ground, base, max((t.degree for t in terms), default=0))
     scale = _common_denominator(terms)
     acc: dict[int, int] = {}
     for t in terms:
@@ -516,24 +478,3 @@ def eq_mod_relations(p: Polynomial, q: Polynomial) -> bool:
     """True iff p and q represent the same class in the quotient ring."""
     p._require_same_ground(q)
     return normal_form(p - q).is_zero
-
-
-def relation_generators(ground: IndexSet) -> list[Polynomial]:
-    """A canonical generating set: x[i,j]+x[j,i] (i<j) and the ascending triples."""
-    _require_ring_ground(ground)
-    gens = []
-    labels = ground.elements
-    for a in range(len(labels)):
-        for b in range(a + 1, len(labels)):
-            i, j = labels[a], labels[b]
-            gens.append(Polynomial.variable(ground, i, j) + Polynomial.variable(ground, j, i))
-    for a in range(len(labels)):
-        for b in range(a + 1, len(labels)):
-            for c in range(b + 1, len(labels)):
-                i, j, k = labels[a], labels[b], labels[c]
-                gens.append(
-                    Polynomial.variable(ground, i, j)
-                    + Polynomial.variable(ground, j, k)
-                    + Polynomial.variable(ground, k, i)
-                )
-    return gens

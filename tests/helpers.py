@@ -3,7 +3,8 @@
 from fractions import Fraction
 import random
 
-from blockcert import IndexSet, Monomial, Polynomial, sample_composition
+from blockcert import IndexSet, Monomial, Polynomial
+from blockcert.combinatorics import sample_composition
 
 
 def ordered_pairs(ground):
@@ -37,11 +38,39 @@ def random_monomial(rng, ground, degree, unit_coeff=False):
     return Monomial.make(ground, coeff, dict(zip(pairs, comp)))
 
 
+def sum_of(ground, monomials):
+    """The sum of ``monomials`` as a polynomial, like terms added."""
+    acc = {}
+    for m in monomials:
+        acc[m.exps] = acc.get(m.exps, 0) + m.coeff
+    return Polynomial.from_map(ground, acc)
+
+
 def random_poly(rng, ground, max_terms=3, max_degree=5):
     terms = []
     for _ in range(rng.randint(0, max_terms)):
         terms.append(random_monomial(rng, ground, rng.randint(0, max_degree)))
-    return Polynomial.from_terms(ground, terms)
+    return sum_of(ground, terms)
+
+
+def relation_generators(ground):
+    """A canonical generating set: x[i,j]+x[j,i] (i<j) and the ascending triples."""
+    gens = []
+    labels = ground.elements
+    for a in range(len(labels)):
+        for b in range(a + 1, len(labels)):
+            i, j = labels[a], labels[b]
+            gens.append(Polynomial.variable(ground, i, j) + Polynomial.variable(ground, j, i))
+    for a in range(len(labels)):
+        for b in range(a + 1, len(labels)):
+            for c in range(b + 1, len(labels)):
+                i, j, k = labels[a], labels[b], labels[c]
+                gens.append(
+                    Polynomial.variable(ground, i, j)
+                    + Polynomial.variable(ground, j, k)
+                    + Polynomial.variable(ground, k, i)
+                )
+    return gens
 
 
 def standard_ground(n):

@@ -19,12 +19,11 @@ from blockcert import (
     dim_ring_graded,
     normal_form,
     pivot_lemma_check,
-    relation_generators,
     split_lemma_check,
     vanishing_bound,
     verify_certificate,
 )
-from helpers import random_monomial, random_poly, standard_ground
+from helpers import random_monomial, random_poly, relation_generators, standard_ground
 
 X2 = IndexSet((1, 2))
 X3 = IndexSet((1, 2, 3))

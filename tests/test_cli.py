@@ -337,6 +337,12 @@ def test_exit_codes_for_errors(capsys, tmp_path, monkeypatch):
                            "x[1,2]^10*x[2,3]^10*x[3,4]^10*x[4,5]^10*x[5,6]^10*x[6,1]^6")
     assert code == 3 and "6 labels, above the limit 5" in err
     assert time.perf_counter() - start < 5
+    # degree range budget -> 3: at n = 2 every slice is 1 x 1, and 10^8 of them ran without end
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "hilbert", "--ground", "1,2", "--g", "2",
+                             "--dmin", "0", "--dmax", "100000000")
+    assert code == 3 and out == "" and "above the limit" in err
+    assert time.perf_counter() - start < 5
     # digits outside 0-9 -> 2, never read as numbers
     code, _, err = run_cli(capsys, "nf", "--ground", "1,2,3", "x[1,2]^\u00b2")
     assert code == 2 and "position 7" in err

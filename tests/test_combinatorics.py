@@ -10,18 +10,20 @@ from blockcert import (
     Monomial,
     PreconditionError,
     SizeLimitError,
-    branch_of_split,
     enumerate_blocks,
-    iter_compositions,
     pivot_lemma_check,
-    sample_composition,
-    select_pivot,
-    split_at,
     split_lemma_check,
     vanishing_bound,
 )
 from blockcert import combinatorics
-from blockcert.combinatorics import _degree_avoiding
+from blockcert.combinatorics import (
+    _degree_avoiding,
+    branch_of_split,
+    iter_compositions,
+    sample_composition,
+    select_pivot,
+    split_at,
+)
 from helpers import random_monomial, standard_ground
 
 X3 = IndexSet((1, 2, 3))
@@ -79,15 +81,6 @@ def test_select_pivot_counts_both_orientations():
     assert select_pivot(m, 2) == 3
 
 
-def test_select_pivot_distinct_errors():
-    with pytest.raises(PreconditionError, match="degree 10 below required 11"):
-        select_pivot(Monomial.make(X3, 1, {(1, 2): 10}), 2)
-    with pytest.raises(PreconditionError, match="at least 3 labels"):
-        select_pivot(Monomial.make(IndexSet((1, 2)), 1, {(1, 2): 99}), 2)
-    with pytest.raises(PreconditionError, match="g must be"):
-        select_pivot(Monomial.make(X3, 1, {(1, 2): 11}), 1)
-
-
 def test_pivot_lemma_exhaustive_small():
     # every table with total exactly n(n-1)g - n + 2 admits a qualifying pivot
     for g in (2, 3):
@@ -131,11 +124,6 @@ def test_split_at_reconstructs():
         assert all(pivot not in pair for pair, _ in rest.exps)
 
 
-def test_split_at_requires_member():
-    with pytest.raises(PreconditionError):
-        split_at(Monomial.make(X3, 1, {(1, 2): 1}), 7)
-
-
 # -- branch choice ----------------------------------------------------------------
 
 def test_branch_of_split_examples():
@@ -173,25 +161,6 @@ def test_branch_of_split_partitions_the_factors():
         assert all(j in part for (_, j), _ in chosen)
         assert all(j not in part for (_, j), _ in spare)
         assert sum(e for _, e in chosen) >= vanishing_bound(len(part) + 1, g)
-
-
-def test_branch_of_split_degree_precondition():
-    m = Monomial.make(X3, 1, {(1, 2): 3, (1, 3): 3})
-    with pytest.raises(PreconditionError, match="degree 6 below required 7"):
-        branch_of_split(m, 1, Block(IndexSet((2, 3)), (2,)), 2)
-
-
-def test_branch_of_split_validates_shape():
-    m = Monomial.make(X3, 1, {(2, 3): 7})
-    with pytest.raises(PreconditionError, match="variables"):
-        branch_of_split(m, 1, Block(IndexSet((2, 3)), (2,)), 2)
-    # the outer block must be a block of the ground set minus the pivot
-    m = Monomial.make(X3, 1, {(1, 2): 7})
-    for outer in (Block(X3, (2,)), Block(IndexSet((1, 2)), (2,)), Block(IndexSet((2, 3, 4)), (2,))):
-        with pytest.raises(PreconditionError, match="minus the pivot"):
-            branch_of_split(m, 1, outer, 2)
-    with pytest.raises(PreconditionError, match="not in ground set"):
-        branch_of_split(m, 4, Block(IndexSet((2, 3)), (2,)), 2)
 
 
 def test_split_lemma_exhaustive():

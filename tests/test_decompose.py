@@ -20,14 +20,14 @@ from blockcert import (
     decompose,
     enumerate_blocks,
     eq_mod_relations,
-    merge_blocks,
     normal_form,
     rewrite_to_base,
-    split_at,
     vanishing_bound,
     verify_certificate,
 )
-from helpers import ordered_pairs, random_monomial, random_poly, sample_composition, standard_ground
+from blockcert.combinatorics import sample_composition, split_at
+from blockcert.decompose import merge_blocks
+from helpers import ordered_pairs, random_monomial, random_poly, standard_ground
 from test_golden import above_bound_inputs, golden_inputs
 
 X2 = IndexSet((1, 2))
@@ -62,8 +62,7 @@ def test_vanishing_bound_preconditions():
 def test_decompose_two_labels_examples():
     cert = decompose(Monomial.make(X2, 5, {(1, 2): 3, (2, 1): 2}), 2)
     assert cert.entries == (
-        CertificateEntry(Block(X2, (1,)), Polynomial.from_terms(
-            X2, [Monomial.make(X2, 5, {(1, 2): 1})])),
+        CertificateEntry(Block(X2, (1,)), Monomial.make(X2, 5, {(1, 2): 1}).as_poly()),
     )
     cert = decompose(Monomial.make(X2, 1, {(1, 2): 4}), 2)
     assert cert.entries[0].cofactor == Polynomial.constant(X2, 1)
@@ -146,7 +145,7 @@ def test_merge_blocks_every_block_pair(n):
         for outer in enumerate_blocks(ground.without(z)):
             for branch, side in (("H", outer.left), ("W", outer.right)):
                 # enumerate_blocks lists every block in both orientations
-                for inner in enumerate_blocks(IndexSet(side).adjoin(z)):
+                for inner in enumerate_blocks(IndexSet(tuple(sorted(side + (z,))))):
                     merged, leftover = merge_blocks(outer, inner, ground, branch)
                     # z goes to the right part on H and to the left part on W
                     oriented = inner if (z in inner.right) == (branch == "H") else inner.transpose()
@@ -161,17 +160,6 @@ def test_merge_blocks_every_block_pair(n):
                     checked += 1
     # n * sum over outer blocks (h, w) of (2^(h+1) - 2) + (2^(w+1) - 2) inner blocks
     assert checked == {4: 4 * (6 * 8), 5: 5 * (8 * 16 + 6 * 12)}[n]
-
-
-def test_merge_blocks_validation():
-    outer = Block(IndexSet((1, 2, 3)), (1,))
-    with pytest.raises(PreconditionError, match="branch"):
-        merge_blocks(outer, Block(IndexSet((1, 4)), (1,)), X4, "X")
-    with pytest.raises(PreconditionError, match="exactly one pivot"):
-        merge_blocks(outer, Block(IndexSet((1, 2)), (1,)), X4, "H")
-    with pytest.raises(PreconditionError, match="side plus the pivot"):
-        # W branch expects the inner ground to be outer.right + pivot
-        merge_blocks(outer, Block(IndexSet((1, 4)), (1,)), X4, "W")
 
 
 # -- decompose --------------------------------------------------------------------
@@ -266,6 +254,16 @@ def test_decompose_entries_have_integer_coefficients():
 def test_decompose_pure_power_at_the_bound():
     # every degree on one pair: the input the pivot rule handles worst at n = 4
     mono = Monomial.make(X4, 1, {(1, 2): 22})
+    assert verify_certificate(decompose(mono, 2))
+
+
+def test_verify_accepts_n5_certificate_with_many_cofactor_terms():
+    # seed 6 of the n = 5 random inputs at the bound: its largest cofactor has 335
+    # terms of one degree, which a measure of degree * C(d + 3, 3) per term refused
+    mono = Monomial.make(standard_ground(5), Fraction(3, 4), {
+        (1, 5): 2, (2, 1): 3, (2, 3): 2, (2, 4): 3, (3, 1): 2, (3, 2): 2, (3, 4): 6,
+        (4, 1): 4, (4, 3): 4, (4, 5): 5, (5, 1): 1, (5, 4): 3})
+    assert mono == random_monomial(random.Random(6), standard_ground(5), 37)
     assert verify_certificate(decompose(mono, 2))
 
 

@@ -8,7 +8,6 @@ import pytest
 from blockcert import (
     BlockIdealSlice,
     IndexSet,
-    IntRowSpace,
     Monomial,
     PreconditionError,
     SizeLimitError,
@@ -21,7 +20,10 @@ from blockcert import (
     vanishing_bound,
     verify_certificate,
 )
-from helpers import ordered_pairs, sample_composition, standard_ground
+from blockcert import hilbert
+from blockcert.combinatorics import sample_composition
+from blockcert.hilbert import IntRowSpace
+from helpers import ordered_pairs, standard_ground
 
 X2 = IndexSet((1, 2))
 X3 = IndexSet((1, 2, 3))
@@ -170,6 +172,19 @@ def test_size_limit_checked_before_columns_are_built():
         with pytest.raises(SizeLimitError, match="rows x"):
             ask(slice_)
         assert "_layout" not in slice_.__dict__
+
+
+def test_graded_report_degree_range_limit(monkeypatch):
+    # counted before any slice is built: the first degree is outside the scope
+    with pytest.raises(SizeLimitError, match="more than 1000 degrees"):
+        graded_report(X2, 2, range(-1, 10**8))
+    with pytest.raises(SizeLimitError, match="more than 1000 degrees"):
+        graded_report(X2, 2, (d for d in range(-1, 10**12)))
+    assert len(graded_report(X2, 2, range(1000)).rows) == 1000
+    monkeypatch.setattr(hilbert, "RANGE_LIMIT", 4)
+    assert len(graded_report(X3, 2, [8, 9, 10, 11]).rows) == 4
+    with pytest.raises(SizeLimitError, match="more than 4 degrees"):
+        graded_report(X3, 2, range(8, 13))
 
 
 def test_graded_report_shape():
