@@ -123,11 +123,11 @@ class BranchChoice(NamedTuple):
     spare: Exponents  # the other factors
 
 
-def branch_of_split(mono: Monomial, pivot: Label, outer: Block, g: int) -> BranchChoice:
+def branch_of_split(mono: Monomial, outer: Block, g: int) -> BranchChoice:
     """Route a base-variable monomial to one side of the outer block.
 
-    ``mono`` must use variables x[pivot,j] only and ``outer`` must be a block
-    of the ground set minus the pivot.  Whenever
+    ``outer`` must be a block of the ground set of ``mono`` minus one label,
+    the pivot, and ``mono`` must use variables x[pivot,j] only.  Whenever
     deg >= n(n-1)g - n + 2 - 2g*h*w, at least one side carries enough degree:
     the left total reaches g*h*(h+1) - h + 1 ("H") or the right total reaches
     g*w*(w+1) - w + 1 ("W").  Ties prefer H.  Returns the side with the
@@ -200,10 +200,11 @@ def pivot_lemma_check(ground: IndexSet, g: int, samples: int = 0,
 
     Each composition of that degree into the 2-subset slots {i,j}, i < j, is
     the monomial with exponent c on x[i,j]; the check runs over all of them,
-    or over ``samples`` uniform draws when ``samples`` > 0, and raises
-    SizeLimitError above LEMMA_CASE_LIMIT cases.  A composition fails when
-    ``select_pivot`` raises RuntimeError.  Returns (checked, failing
-    compositions); the second entry should always be empty.
+    or over ``samples`` uniform draws when ``samples`` > 0.  It raises
+    PreconditionError for ``samples`` < 0 and SizeLimitError above
+    LEMMA_CASE_LIMIT cases.  A composition fails when ``select_pivot`` raises
+    RuntimeError.  Returns (checked, failing compositions); the second entry
+    should always be empty.
     """
     _require_g(g)
     n = len(ground)
@@ -212,6 +213,8 @@ def pivot_lemma_check(ground: IndexSet, g: int, samples: int = 0,
     labels = ground.elements
     keys = [(labels[a], labels[b]) for a in range(n) for b in range(a + 1, n)]
     total = vanishing_bound(n, g)
+    if samples < 0:
+        raise PreconditionError(f"sample count must be nonnegative, got {samples}")
     if samples > 0:
         _require_case_count(samples)
         rng = random.Random(seed)
@@ -265,7 +268,7 @@ def split_lemma_check(ground: IndexSet, g: int) -> tuple[int, list[tuple[int, ..
             # the keys ascend and zero counts are dropped, so the exponents are valid
             exps = tuple((key, c) for key, c in ((on_left, a), (on_right, b)) if c)
             try:
-                branch_of_split(_trusted(Monomial, ground=ground, coeff=_Q1, exps=exps), pivot, outer, g)
+                branch_of_split(_trusted(Monomial, ground=ground, coeff=_Q1, exps=exps), outer, g)
             except RuntimeError:
                 failures.append((h, w, a, b))
     return checked, failures

@@ -33,7 +33,6 @@ from .ring import (
     _BaseKeys,
     _common_denominator,
     _merge_exps,
-    _require_expandable,
     _trusted,
     rewrite_to_base,
 )
@@ -179,7 +178,7 @@ def _decompose_entries(mono: Monomial, g: int, budget: Iterator[int]) -> Entries
             # integer coefficient and p.coeff.numerator below is exact
             lifted = _trusted(Monomial, ground=ground, coeff=_Q1, exps=_merge_exps(touching.exps, exps))
             for p in rewrite_to_base(lifted, pivot).terms:
-                side, chosen, spare = branch_of_split(p, pivot, outer_block, g)
+                side, chosen, spare = branch_of_split(p, outer_block, g)
                 # chosen reaches the bound of its side plus the pivot, checked by branch_of_split
                 selected = _trusted(Monomial, ground=sub_grounds[side], coeff=_Q1, exps=chosen)
                 scale = p.coeff.numerator * coeff
@@ -235,8 +234,9 @@ def verify_certificate(cert: Certificate) -> bool:
     integers, scaled by one common denominator, on the packed keys of
     ``ring._BaseKeys`` for the input degree.  Structural defects are
     rejected at construction time with MalformedCertificateError, never
-    reported as False here; an input term above EXPANSION_LIMIT raises
-    SizeLimitError.
+    reported as False here.  The input, each block monomial and each
+    cofactor's normal form are measured before they are expanded, and one
+    above EXPANSION_LIMIT raises SizeLimitError.
     """
     zeta = cert.input
     degree = zeta.degree
@@ -248,12 +248,13 @@ def verify_certificate(cert: Certificate) -> bool:
             return False
     # Every product below has the input's degree, so keys for that degree never carry.
     ground = cert.ground
-    _require_expandable(ground, (zeta,), ground.min())
     keys = _BaseKeys(ground, ground.min(), degree)
-    forms = [ring.normal_form(entry.cofactor).terms for entry in cert.entries]
-    scale = _common_denominator((zeta, *(t for terms in forms for t in terms)))
+    # NF coefficients are integer combinations of their cofactor's, so the
+    # cofactors' denominators clear them: the input is measured before any NF.
+    scale = _common_denominator((zeta, *(t for entry in cert.entries for t in entry.cofactor.terms)))
     acc: dict[int, int] = {}
-    keys.expand(-zeta.coeff.numerator * (scale // zeta.coeff.denominator), zeta.exps, acc)
+    keys.expand((zeta,), -scale, acc)
+    forms = [ring.normal_form(entry.cofactor).terms for entry in cert.entries]
     for entry, terms in zip(cert.entries, forms):
         cofactor = list(keys.pack(terms, scale))
         for block_key, block_coeff in keys.block(entry.block.pairs, two_g).items():

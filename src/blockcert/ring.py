@@ -28,7 +28,7 @@ _Q0 = Fraction(0)
 _Q1 = Fraction(1)
 
 # Cap on the sum, over the terms of one expansion, of each term's measure
-# (``_require_expandable``): the products its expansion runs, at most the base
+# (``_BaseKeys.expand``): the products its expansion runs, at most the base
 # monomials it can reach, times the bit growth of its binomial coefficients.
 # One term of degree 57 over 5 labels (the vanishing bound for g = 3) measures
 # at most 1.95e6; x[2,3]^9999 measures 1e8 and takes seconds, and so do eight
@@ -285,34 +285,6 @@ class Polynomial:
         return Polynomial.from_map(self.ground, acc)
 
 
-def _require_expandable(ground: IndexSet, terms: Iterable[Monomial], base: Label) -> None:
-    """Raise SizeLimitError when ``terms`` measure above EXPANSION_LIMIT in sum.
-
-    A term of degree d measures d * min(P, C(d + w - 1, w - 1)) over the w
-    base variables x[base,j], where P is the product of e + 1 over its powers
-    x[i,j]^e off the base label, both orientations of a pair folded into one
-    power as ``_BaseKeys.expand`` folds them: the product loop the expansion
-    runs, capped by the base monomials it can reach, times the bit growth of
-    the coefficients.
-    """
-    width = len(ground) - 1
-    size = 0
-    for t in terms:
-        powers: dict[Pair, int] = {}
-        for (i, j), e in t.exps:
-            if i != base and j != base:
-                pair = (i, j) if i < j else (j, i)
-                powers[pair] = powers.get(pair, 0) + e
-        degree = t.degree
-        size += degree * min(math.prod(e + 1 for e in powers.values()),
-                             math.comb(degree + width - 1, width - 1))
-    if size > EXPANSION_LIMIT:
-        raise SizeLimitError(
-            f"expanding terms over {width} base variables measures {size}, "
-            f"above the limit {EXPANSION_LIMIT}"
-        )
-
-
 def _common_denominator(terms: Iterable[Monomial]) -> int:
     """The lcm of the coefficient denominators of ``terms``: times it, every coefficient is an integer."""
     return math.lcm(*(t.coeff.denominator for t in terms))
@@ -343,55 +315,80 @@ class _BaseKeys:
                 shift -= bits
                 units[lab] = 1 << shift
 
-    def expand(self, coeff: int, exps: Exponents, acc: dict[int, int]) -> None:
-        """Add the base-variable expansion of coeff * prod x[i,j]^e over ``exps`` into ``acc``.
+    def expand(self, terms: Iterable[Monomial], scale: int, acc: dict[int, int]) -> None:
+        """Add ``scale`` times the sum of ``terms``, in the base variables, into ``acc``.
 
-        The coefficient is an integer and so is every binomial and sign, so
-        the whole expansion is integer multiply-adds; callers scale rationals
-        beforehand.  Sums that cancel leave ``acc``.
+        ``scale`` is a multiple of every coefficient's denominator, so the
+        whole expansion is integer multiply-adds; a negative ``scale``
+        subtracts.  Sums that cancel leave ``acc``.
+
+        Each term is folded once, both orientations of a pair into one power.
+        A term of degree d then measures d * min(P, C(d + w - 1, w - 1)) over
+        the w base variables, where P is the product of e + 1 over its powers
+        x[i,j]^e off the base label: the product loop its expansion runs,
+        capped by the base monomials it can reach, times the bit growth of
+        the coefficients.  Raises SizeLimitError, before any term is
+        expanded, when the terms measure above EXPANSION_LIMIT in sum.
         """
         base, units = self.base, self.units
-        start = 0
-        negate = 0
-        powers: dict[Pair, int] = {}
-        for (i, j), e in exps:
-            if i == base:
-                start += e * units[j]
-            elif j == base:
-                # x[i,base] == -x[base,i] in the quotient
-                start += e * units[i]
-                negate ^= e & 1
-            else:
-                if i > j:
-                    # x[i,j] == -x[j,i]: fold both orientations into one power
-                    i, j = j, i
+        width = len(units)
+        size = 0
+        folded = []
+        for t in terms:
+            start = 0
+            negate = 0
+            degree = 0
+            powers: dict[Pair, int] = {}
+            for (i, j), e in t.exps:
+                degree += e
+                if i == base:
+                    start += e * units[j]
+                elif j == base:
+                    # x[i,base] == -x[base,i] in the quotient
+                    start += e * units[i]
                     negate ^= e & 1
-                powers[i, j] = powers.get((i, j), 0) + e
-        local = {start: -coeff if negate else coeff}
-        for (i, j), e in powers.items():
-            # x[i,j] == x[base,j] - x[base,i]; expand the e-th power exactly.
-            ui, uj = units[i], units[j]
-            expansion = [
-                (-math.comb(e, k) if (e - k) & 1 else math.comb(e, k), (e - k) * ui + k * uj)
-                for k in range(e + 1)
-            ]
-            nxt: dict[int, int] = {}
+                else:
+                    if i > j:
+                        # x[i,j] == -x[j,i]: fold both orientations into one power
+                        i, j = j, i
+                        negate ^= e & 1
+                    powers[i, j] = powers.get((i, j), 0) + e
+            size += degree * min(math.prod(e + 1 for e in powers.values()),
+                                 math.comb(degree + width - 1, width - 1))
+            coeff = t.coeff.numerator * (scale // t.coeff.denominator)
+            folded.append((start, -coeff if negate else coeff, powers))
+        if size > EXPANSION_LIMIT:
+            raise SizeLimitError(
+                f"expanding terms over {width} base variables measures {size}, "
+                f"above the limit {EXPANSION_LIMIT}"
+            )
+        for start, coeff, powers in folded:
+            local = {start: coeff}
+            for (i, j), e in powers.items():
+                # x[i,j] == x[base,j] - x[base,i]; expand the e-th power exactly.
+                ui, uj = units[i], units[j]
+                expansion = [
+                    (-math.comb(e, k) if (e - k) & 1 else math.comb(e, k), (e - k) * ui + k * uj)
+                    for k in range(e + 1)
+                ]
+                nxt: dict[int, int] = {}
+                for key, c in local.items():
+                    for bc, offset in expansion:
+                        at = key + offset
+                        nxt[at] = nxt.get(at, 0) + c * bc
+                local = nxt
             for key, c in local.items():
-                for bc, offset in expansion:
-                    at = key + offset
-                    nxt[at] = nxt.get(at, 0) + c * bc
-            local = nxt
-        for key, c in local.items():
-            total = acc.get(key, 0) + c
-            if total:
-                acc[key] = total
-            else:
-                acc.pop(key, None)
+                total = acc.get(key, 0) + c
+                if total:
+                    acc[key] = total
+                else:
+                    acc.pop(key, None)
 
     def block(self, pairs: Iterable[Pair], power: int) -> dict[int, int]:
-        """The expansion of the product of x[i,j]^power over ``pairs``."""
+        """The expansion of the product of x[i,j]^power over ``pairs``, measured as any other."""
+        term = _trusted(Monomial, ground=self.ground, coeff=_Q1, exps=tuple((pair, power) for pair in pairs))
         acc: dict[int, int] = {}
-        self.expand(1, tuple((pair, power) for pair in pairs), acc)
+        self.expand((term,), 1, acc)
         return acc
 
     def pack(self, terms: Iterable[Monomial], scale: int) -> Iterator[tuple[int, int]]:
@@ -445,12 +442,10 @@ def _to_base(ground: IndexSet, terms: tuple[Monomial, ...], base: Label) -> Poly
     divided by that denominator once.  Raises SizeLimitError before expanding
     anything when the terms together exceed EXPANSION_LIMIT.
     """
-    _require_expandable(ground, terms, base)
     keys = _BaseKeys(ground, base, max((t.degree for t in terms), default=0))
     scale = _common_denominator(terms)
     acc: dict[int, int] = {}
-    for t in terms:
-        keys.expand(t.coeff.numerator * (scale // t.coeff.denominator), t.exps, acc)
+    keys.expand(terms, scale, acc)
     return keys.to_poly(acc, scale)
 
 

@@ -27,6 +27,7 @@ from blockcert import (
     poly_from_json,
     poly_to_json,
     poly_to_str,
+    verify_certificate,
 )
 from helpers import random_poly, standard_ground
 
@@ -293,6 +294,11 @@ def test_cmd_lemma_suites(capsys):
     assert code == 0 and "500" in out
     code, out, _ = run_cli(capsys, "lemma-partition", "--ground", "1,2,3,4,5", "--g", "3")
     assert code == 0 and "hold" in out
+    # a negative sample count is refused, never run as the exhaustive check; 0 is exhaustive
+    code, out, err = run_cli(capsys, "lemma-lines", "--ground", "1,2,3", "--g", "2", "--samples", "-5")
+    assert code == 3 and out == "" and "sample count must be nonnegative" in err
+    code, out, _ = run_cli(capsys, "lemma-lines", "--ground", "1,2,3", "--g", "2", "--samples", "0")
+    assert code == 0 and out == "pivot selection (exhaustive): all 78 cases hold\n"
 
 
 def test_cmd_hilbert_csv_and_json(capsys):
@@ -408,6 +414,22 @@ def test_exit_codes_for_errors(capsys, tmp_path, monkeypatch):
                  ("lemma-lines", "--ground", "1,2,3,4,5", "--g", "2")):
         code, out, err = run_cli(capsys, *args)
         assert code == 3 and out == "" and "above the limit 1000000" in err
+    assert time.perf_counter() - start < 5
+
+
+def test_verify_measures_block_monomials(capsys, tmp_path):
+    # The input measures 480 and the cofactor is a constant, but the block monomial
+    # over {2,3} x {1,4,5} with power 80 measures 8,958,374,880: unmeasured, its
+    # 81^4 products ran for 43 s before verify printed false.
+    text = ('{"ground":[1,2,3,4,5],"g":40,"input":{"terms":[{"coeff":"1","exps":[[[1,2],480]]}]},'
+            '"entries":[{"left":[2,3],"cofactor":{"terms":[{"coeff":"1","exps":[]}]}}]}')
+    path = tmp_path / "cert.json"
+    path.write_text(text, encoding="utf-8")
+    start = time.perf_counter()
+    with pytest.raises(SizeLimitError, match="measures 8958374880, above the limit"):
+        verify_certificate(certificate_from_json(json.loads(text)))
+    code, out, err = run_cli(capsys, "verify", str(path))
+    assert code == 3 and out == "" and "measures 8958374880" in err
     assert time.perf_counter() - start < 5
 
 

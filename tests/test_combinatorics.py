@@ -130,13 +130,13 @@ def test_branch_of_split_examples():
     # degree 7 = threshold for n=3, g=2, h=w=1; left side misses its bound of 4
     outer = Block(IndexSet((2, 3)), (2,))
     m = Monomial.make(X3, 1, {(1, 2): 3, (1, 3): 4})
-    assert branch_of_split(m, 1, outer, 2) == ("W", (((1, 3), 4),), (((1, 2), 3),))
+    assert branch_of_split(m, outer, 2) == ("W", (((1, 3), 4),), (((1, 2), 3),))
     # everything on the left side
     m = Monomial.make(X3, 1, {(1, 2): 7})
-    assert branch_of_split(m, 1, outer, 2) == ("H", (((1, 2), 7),), ())
+    assert branch_of_split(m, outer, 2) == ("H", (((1, 2), 7),), ())
     # ties prefer H: 4 on the left meets the bound even with 3 on the right
     m = Monomial.make(X3, 1, {(1, 2): 4, (1, 3): 3})
-    assert branch_of_split(m, 1, outer, 2).side == "H"
+    assert branch_of_split(m, outer, 2).side == "H"
 
 
 def test_branch_of_split_partitions_the_factors():
@@ -155,7 +155,7 @@ def test_branch_of_split_partitions_the_factors():
         degree = required + rng.randint(0, 3)
         spread = sample_composition(degree, n - 1, rng)
         m = Monomial.make(ground, 1, {(pivot, j): e for j, e in zip(sorted(others), spread)})
-        side, chosen, spare = branch_of_split(m, pivot, outer, g)
+        side, chosen, spare = branch_of_split(m, outer, g)
         assert tuple(sorted(chosen + spare)) == m.exps
         part = outer.left if side == "H" else outer.right
         assert all(j in part for (_, j), _ in chosen)
@@ -170,6 +170,33 @@ def test_split_lemma_exhaustive():
             checked, failures = split_lemma_check(standard_ground(n), g)
             assert failures == []
             assert checked > 0
+
+
+@pytest.mark.parametrize("n", range(3, 13))
+def test_split_dichotomy_is_an_identity_in_g(n):
+    # The threshold is the two side bounds minus one, so a + b at the threshold puts
+    # a at the left bound or b at the right bound: pigeonhole, with zero slack.  Both
+    # sides are linear in g, so agreeing at two values of g they agree at every g.
+    for g in (2, 3):
+        for h in range(1, n - 1):
+            w = n - 1 - h
+            threshold = n * (n - 1) * g - n + 2 - 2 * g * h * w
+            assert threshold == vanishing_bound(n, g) - 2 * g * h * w
+            assert vanishing_bound(h + 1, g) == g * h * (h + 1) - h + 1
+            assert threshold == vanishing_bound(h + 1, g) + vanishing_bound(w + 1, g) - 1
+
+
+@pytest.mark.parametrize("n", range(3, 13))
+def test_pivot_lemma_is_an_identity_in_g(n):
+    # Each pair avoids n - 2 labels, so the degrees avoiding each label sum to
+    # (n - 2) * deg, and some label keeps at least ceil((n - 2) * deg / n) on the
+    # other pairs.  At deg = bound(n, g) the g terms of that ceiling are integers,
+    # so its excess over bound(n - 1, g) is the same at every g: checked at two.
+    mono = random_monomial(random.Random(n), standard_ground(n), vanishing_bound(n, 2))
+    assert sum(_degree_avoiding(mono, z) for z in mono.ground) == (n - 2) * mono.degree
+    for g in (2, 3):
+        kept = -(-(n - 2) * vanishing_bound(n, g) // n)
+        assert kept - vanishing_bound(n - 1, g) == (0 if n <= 4 else 1)
 
 
 def test_lemma_checks_count_cases_before_running(monkeypatch):
@@ -193,10 +220,10 @@ def test_split_lemma_reports_each_failing_case(monkeypatch):
     # the check runs branch_of_split itself, so a RuntimeError there is a failing case
     real = combinatorics.branch_of_split
 
-    def fails_once(mono, pivot, outer, g):
+    def fails_once(mono, outer, g):
         if mono.exps == (((1, 2), 3), ((1, 3), 4)):
             raise RuntimeError("neither side reaches its bound")
-        return real(mono, pivot, outer, g)
+        return real(mono, outer, g)
 
     monkeypatch.setattr(combinatorics, "branch_of_split", fails_once)
     # n = 3, g = 2: h = w = 1 and a + b = 7, so 8 cases
