@@ -5,10 +5,12 @@ deleted or replaced, a key or a span repeated, a long digit run added, or the
 input nested deeply.  The same seed gives the same cases on every run.  The
 text reader must return a Polynomial or raise ParseError; ``blockcert
 verify`` must never raise, must exit 0 to 3, and may exit 1 only after
-printing ``false``.
+printing ``false``.  A sha256 over every mutant's outcome pins both
+readers: each accepted text, each error position and each exit code.
 """
 
 from fractions import Fraction
+import hashlib
 import json
 import random
 import re
@@ -19,6 +21,8 @@ from helpers import random_poly, standard_ground
 ALPHABET = "0123456789x[],^*/+-{}:\". \t\n\u00b2\u3000"  # with a superscript digit and a wide space
 LONG_DIGITS = "9" * 5001  # more digits than Python converts to an int by default
 KEY = re.compile(r'"[a-z]+": ')
+TEXT_SHA256 = "22623455ce44167d243b72f92b438bd9e4721c13b73e7b9cd06924c1b78e16c3"
+JSON_SHA256 = "ebec11edb3ec5d7827449b532b922d21ed59c8faf6c824898a30de4cb5b70e23"
 
 
 def _insert(rng, text):
@@ -78,12 +82,18 @@ def test_fuzz_polynomial_text():
     texts = ["3/2*x[1,2]^4*x[2,3] - x[3,1] + 7", "-x[1,2]*x[2,1]^2+1/3"]
     texts += [poly_to_str(random_poly(rng, ground)) for _ in range(20)]
     outcomes = set()
+    digest = hashlib.sha256()
     for text in mutants(rng, texts, 600):
         try:
-            outcomes.add(type(parse_poly(text, ground)))
-        except ParseError:
-            outcomes.add(ParseError)
+            p = parse_poly(text, ground)
+            outcome = poly_to_str(p)
+        except ParseError as exc:
+            p = exc
+            outcome = f"ParseError at {exc.pos}"
+        outcomes.add(type(p))
+        digest.update(outcome.encode() + b"\n")
     assert outcomes == {Polynomial, ParseError}
+    assert digest.hexdigest() == TEXT_SHA256
 
 
 def test_fuzz_certificate_json(tmp_path, capsys):
@@ -95,6 +105,7 @@ def test_fuzz_certificate_json(tmp_path, capsys):
     texts = [json.dumps(certificate_to_json(decompose(m, 2))) for m in monomials]
     path = tmp_path / "cert.json"
     outcomes = set()
+    digest = hashlib.sha256()
     for text in mutants(rng, texts, 600):
         path.write_text(text, encoding="utf-8")
         code = main(["verify", str(path)])
@@ -102,4 +113,6 @@ def test_fuzz_certificate_json(tmp_path, capsys):
         assert code in (0, 1, 2, 3)
         assert out == {0: "true\n", 1: "false\n"}.get(code, "")
         outcomes.add(code)
+        digest.update(f"{code} {out}".encode())
     assert {0, 1, 2} <= outcomes
+    assert digest.hexdigest() == JSON_SHA256
