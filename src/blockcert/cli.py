@@ -20,126 +20,119 @@ import json
 import re
 import sys
 from fractions import Fraction
+from operator import itemgetter
 from typing import Sequence
 
 from .combinatorics import Block, enumerate_blocks, pivot_lemma_check, split_lemma_check, vanishing_bound
 from .decompose import Certificate, CertificateEntry, decompose, verify_certificate
 from .errors import MalformedCertificateError, ParseError, PreconditionError, SizeLimitError
 from .hilbert import GradedReport, graded_report
-from .ring import Exponents, IndexSet, Monomial, Polynomial, eq_mod_relations, normal_form
+from .ring import (
+    Exponents, IndexSet, Monomial, Polynomial, _require_ring_ground, _trusted, eq_mod_relations, normal_form,
+)
 
 
 # ---------------------------------------------------------------------------
 # text format
 
-_SYMBOLS = set("[],^*/+-x")
-_DIGITS = set("0123456789")  # ASCII only: str.isdigit also accepts superscript and full-width digits
-_SPACES = set(" \t\r\n")  # ASCII only: str.isspace also accepts U+00A0, U+3000 and others
+# Whitespace is the ASCII space, tab, CR and LF only (str.isspace also accepts
+# U+00A0, U+3000 and others), and digits are 0-9 only (str.isdigit also accepts
+# superscript and full-width digits).  Every token takes the whitespace after
+# it, and the tail after each token is optional, so a match ends at the first
+# character that no step accepts: the position of a syntax error.
+_WS = "[ \t\r\n]*"
+_HEAD = re.compile(rf"{_WS}(?:([+-]){_WS})?(?:([0-9]+){_WS}(?:(/){_WS}(?:([0-9]+){_WS})?)?)?")
+_FACTOR = re.compile(
+    rf"{_WS}(?:(x){_WS}(?:(\[){_WS}(?:([0-9]+){_WS}(?:(,){_WS}(?:([0-9]+){_WS}"
+    rf"(?:(\]){_WS}(?:(\^){_WS}(?:([0-9]+){_WS})?)?)?)?)?)?)?)?"
+)
+# what _FACTOR reads after its first k groups, for k = 0..5
+_FACTOR_NEXT = ("'x'", "'['", "an integer", "','", "an integer", "']'")
+_TOKEN_CHARS = frozenset("0123456789x[],^*/+-")
 
 
-class _Scanner:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
+def _syntax_error(text: str, pos: int, expected: str | None) -> ParseError:
+    """The error at ``pos``, where ``expected`` is missing, or else the end of input."""
+    if pos < len(text) and text[pos] not in _TOKEN_CHARS:
+        return ParseError(f"unexpected character {text[pos]!r}", pos)
+    if expected is None:
+        return ParseError("trailing input after polynomial", pos)
+    found = repr(text[pos]) if pos < len(text) else "end of input"
+    return ParseError(f"expected {expected}, found {found}", pos)
 
-    def _skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos] in _SPACES:
-            self.pos += 1
 
-    def peek(self) -> str | None:
-        self._skip_ws()
-        if self.pos >= len(self.text):
-            return None
-        ch = self.text[self.pos]
-        if ch in _DIGITS:
-            return "int"
-        if ch in _SYMBOLS:
-            return ch
-        raise ParseError(f"unexpected character {ch!r}", self.pos)
+def _int_group(match: re.Match, group: int) -> int:
+    try:
+        return int(match[group])
+    except ValueError:  # more digits than the interpreter converts
+        start = match.start(group)
+        raise ParseError(f"integer of {match.end(group) - start} digits is too long", start) from None
 
-    def take_symbol(self, expected: str) -> None:
-        got = self.peek()
-        if got != expected:
-            raise ParseError(f"expected {expected!r}, found {got or 'end of input'!r}", self.pos)
-        self.pos += 1
 
-    def take_int(self) -> int:
-        if self.peek() != "int":
-            raise ParseError("expected an integer", self.pos)
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos] in _DIGITS:
-            self.pos += 1
-        try:
-            return int(self.text[start:self.pos])
-        except ValueError:  # more digits than the interpreter converts
-            raise ParseError(f"integer of {self.pos - start} digits is too long", start) from None
+def _read_factors(text: str, pos: int, labels: tuple[int, ...]) -> tuple[Exponents, int]:
+    """The exponents of the factors ``x[i,j]^e * ...`` from ``pos``, and the position after them."""
+    exps: dict[tuple[int, int], int] = {}
+    while True:
+        factor = _FACTOR.match(text, pos)
+        read = factor.lastindex or 0
+        i = _int_group(factor, 3) if read >= 3 else None
+        j = _int_group(factor, 5) if read >= 5 else None
+        if read < 6:
+            raise _syntax_error(text, factor.end(), _FACTOR_NEXT[read])
+        if i == j:
+            raise ParseError(f"variable x[{i},{j}] has equal indices", factor.end(2))
+        if i not in labels or j not in labels:
+            raise ParseError(f"variable x[{i},{j}] outside ground set {list(labels)}", factor.end(2))
+        e = 1
+        if read == 7:
+            raise _syntax_error(text, factor.end(), "an integer")
+        if read == 8:
+            e = _int_group(factor, 8)
+            if e < 1:
+                raise ParseError("exponent must be a positive integer", factor.end(7))
+        exps[i, j] = exps.get((i, j), 0) + e
+        pos = factor.end()
+        if not text.startswith("*", pos):
+            return tuple(sorted(exps.items())), pos
+        pos += 1
 
 
 def parse_poly(text: str, ground: IndexSet) -> Polynomial:
-    """Parse polynomial text over an explicit ground set into canonical form."""
-    scanner = _Scanner(text)
-    acc: dict[Exponents, Fraction] = {}
+    """Parse polynomial text over an explicit ground set into canonical form.
 
-    def factor(exps: dict) -> None:
-        scanner.take_symbol("x")
-        scanner.take_symbol("[")
-        at = scanner.pos
-        i = scanner.take_int()
-        scanner.take_symbol(",")
-        j = scanner.take_int()
-        scanner.take_symbol("]")
-        if i == j:
-            raise ParseError(f"variable x[{i},{j}] has equal indices", at)
-        if i not in ground or j not in ground:
-            raise ParseError(f"variable x[{i},{j}] outside ground set {list(ground)}", at)
-        e = 1
-        if scanner.peek() == "^":
-            scanner.take_symbol("^")
-            at = scanner.pos
-            e = scanner.take_int()
-            if e < 1:
-                raise ParseError("exponent must be a positive integer", at)
-        exps[(i, j)] = exps.get((i, j), 0) + e
-
-    def term(sign: int) -> None:
-        coeff = Fraction(sign)
-        exps: dict = {}
-        if scanner.peek() == "int":
-            num = scanner.take_int()
-            if scanner.peek() == "/":
-                scanner.take_symbol("/")
-                at = scanner.pos
-                den = scanner.take_int()
-                if den < 1:
-                    raise ParseError("denominator must be a positive integer", at)
-                coeff *= Fraction(num, den)
-            else:
-                coeff *= num
-            if scanner.peek() == "*":
-                scanner.take_symbol("*")
-                factor(exps)
+    Checks run in reading order, so the first defect in the text is the one
+    reported, at its position.
+    """
+    labels = ground.elements
+    acc: dict[Exponents, int | Fraction] = {}
+    head = _HEAD.match(text)
+    if head.end() == len(text) and head.lastindex is None:
+        raise ParseError("empty input", head.end())
+    if head[1] == "+":
+        raise _syntax_error(text, head.start(1), "a term")
+    while True:
+        coeff = -1 if head[1] == "-" else 1
+        pos = head.end()
+        key: Exponents = ()
+        if head[2] is None:
+            key, pos = _read_factors(text, pos, labels)
         else:
-            factor(exps)
-        while scanner.peek() == "*":
-            scanner.take_symbol("*")
-            factor(exps)
-        key = tuple(sorted(exps.items()))
+            coeff *= _int_group(head, 2)
+            if head[3] is not None:
+                if head[4] is None:
+                    raise _syntax_error(text, pos, "an integer")
+                den = _int_group(head, 4)
+                if den < 1:
+                    raise ParseError("denominator must be a positive integer", head.end(3))
+                coeff = Fraction(coeff, den)
+            if text.startswith("*", pos):
+                key, pos = _read_factors(text, pos + 1, labels)
         acc[key] = acc.get(key, 0) + coeff
-
-    first = scanner.peek()
-    if first is None:
-        raise ParseError("empty input", scanner.pos)
-    sign = 1
-    if first == "-":
-        scanner.take_symbol("-")
-        sign = -1
-    term(sign)
-    while (op := scanner.peek()) in ("+", "-"):
-        scanner.take_symbol(op)
-        term(1 if op == "+" else -1)
-    if scanner.peek() is not None:
-        raise ParseError("trailing input after polynomial", scanner.pos)
-    return Polynomial.from_map(ground, acc)
+        if pos == len(text):
+            return Polynomial.from_map(ground, acc)
+        if text[pos] not in "+-":
+            raise _syntax_error(text, pos, None)
+        head = _HEAD.match(text, pos)
 
 
 def _number_text(x: int | Fraction) -> str:
@@ -186,15 +179,18 @@ def poly_to_json(p: Polynomial) -> dict:
     }
 
 
-_JSON_COEFF = re.compile(r"-?[0-9]+(/[0-9]+)?")
+_JSON_COEFF = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 
 def _json_fields(obj, keys: tuple[str, ...], what: str) -> list:
     """The values of ``keys`` in a JSON object that has exactly those keys."""
-    if not isinstance(obj, dict) or obj.keys() != set(keys):
-        found = sorted(obj) if isinstance(obj, dict) else type(obj).__name__
-        raise MalformedCertificateError(f"{what} must be an object with keys {list(keys)}, got {found}")
-    return [obj[key] for key in keys]
+    if isinstance(obj, dict) and len(obj) == len(keys):
+        try:
+            return [obj[key] for key in keys]
+        except KeyError:
+            pass
+    found = sorted(obj) if isinstance(obj, dict) else type(obj).__name__
+    raise MalformedCertificateError(f"{what} must be an object with keys {list(keys)}, got {found}")
 
 
 def poly_from_json(obj, ground: IndexSet) -> Polynomial:
@@ -203,15 +199,23 @@ def poly_from_json(obj, ground: IndexSet) -> Polynomial:
     Terms may come in any order, but no two may have the same exponents.
     """
     try:
-        monomials = []
+        _require_ring_ground(ground)  # a polynomial with no terms has no Monomial to check it
+        keyed = []
         (terms,) = _json_fields(obj, ("terms",), "polynomial")
         for term in terms:
             coeff, raw_exps = _json_fields(term, ("coeff", "exps"), "term")
-            if not isinstance(coeff, str) or not _JSON_COEFF.fullmatch(coeff):
+            parts = _JSON_COEFF.fullmatch(coeff) if isinstance(coeff, str) else None
+            if parts is None:
                 raise MalformedCertificateError(f"coefficient must be a string p or p/q, got {coeff!r}")
-            exps = tuple(((i, j), e) for (i, j), e in raw_exps)
-            monomials.append(Monomial(ground, Fraction(coeff), exps))
-        return Polynomial(ground, tuple(sorted(monomials, key=Monomial.sort_key)))
+            num, den = parts.groups()
+            value = int(num) if den is None else Fraction(int(num), int(den))
+            mono = Monomial(ground, value, tuple([((i, j), e) for (i, j), e in raw_exps]))
+            keyed.append((mono.sort_key(), mono))
+        keyed.sort(key=itemgetter(0))
+        for (key, mono), (next_key, _) in zip(keyed, keyed[1:]):
+            if key == next_key:
+                raise MalformedCertificateError(f"repeated exps {list(mono.exps)} in a polynomial object")
+        return _trusted(Polynomial, ground=ground, terms=tuple([mono for _, mono in keyed]))
     except MalformedCertificateError:
         raise
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:

@@ -23,6 +23,7 @@ from .combinatorics import (
 )
 from .errors import MalformedCertificateError, PreconditionError, SizeLimitError
 from .ring import (
+    EXPANSION_LIMIT,
     Exponents,
     IndexSet,
     Label,
@@ -235,7 +236,9 @@ def verify_certificate(cert: Certificate) -> bool:
     ``ring._BaseKeys`` for the input degree.  Structural defects are
     rejected at construction time with MalformedCertificateError, never
     reported as False here.  The input, each block monomial and each
-    cofactor's normal form are measured before they are expanded, and one
+    cofactor's normal form are measured before they are expanded, and the
+    products of block expansion keys by normal-form terms are counted, summed
+    over the entries, before each entry's are taken: a measure or a count
     above EXPANSION_LIMIT raises SizeLimitError.
     """
     zeta = cert.input
@@ -255,9 +258,17 @@ def verify_certificate(cert: Certificate) -> bool:
     acc: dict[int, int] = {}
     keys.expand((zeta,), -scale, acc)
     forms = [ring.normal_form(entry.cofactor).terms for entry in cert.entries]
+    products = 0
     for entry, terms in zip(cert.entries, forms):
         cofactor = list(keys.pack(terms, scale))
-        for block_key, block_coeff in keys.block(entry.block.pairs, two_g).items():
+        block = keys.block(entry.block.pairs, two_g)
+        products += len(block) * len(cofactor)
+        if products > EXPANSION_LIMIT:
+            raise SizeLimitError(
+                f"multiplying block expansions by cofactor normal forms takes {products} "
+                f"products, above the limit {EXPANSION_LIMIT}"
+            )
+        for block_key, block_coeff in block.items():
             for key, coeff in cofactor:
                 at = block_key + key
                 acc[at] = acc.get(at, 0) + block_coeff * coeff

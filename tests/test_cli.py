@@ -199,7 +199,7 @@ def test_malformed_certificate_json_rejected():
     bad = json.loads(json.dumps(good))
     terms = bad["entries"][0]["cofactor"]["terms"]
     terms.append(dict(terms[0]))
-    with pytest.raises(MalformedCertificateError):
+    with pytest.raises(MalformedCertificateError, match="repeated exps"):
         certificate_from_json(bad)
 
     # keys outside the schema are rejected at every level, never ignored
@@ -430,6 +430,22 @@ def test_verify_measures_block_monomials(capsys, tmp_path):
         verify_certificate(certificate_from_json(json.loads(text)))
     code, out, err = run_cli(capsys, "verify", str(path))
     assert code == 3 and out == "" and "measures 8958374880" in err
+    assert time.perf_counter() - start < 5
+
+
+def test_verify_counts_block_by_cofactor_products(capsys, tmp_path):
+    # Each factor is within the expansion budget, but the block expansion has
+    # 17,985 keys and the cofactor's normal form 3,721 terms: uncounted, their
+    # 66,922,185 products ran for 44 s before verify printed false.
+    text = ('{"ground":[1,2,3,4,5],"g":8,"input":{"terms":[{"coeff":"1","exps":[[[1,2],216]]}]},'
+            '"entries":[{"left":[2,3],"cofactor":{"terms":[{"coeff":"1","exps":[[[2,3],60],[[4,5],60]]}]}}]}')
+    path = tmp_path / "cert.json"
+    path.write_text(text, encoding="utf-8")
+    start = time.perf_counter()
+    with pytest.raises(SizeLimitError, match="takes 66922185 products, above the limit"):
+        verify_certificate(certificate_from_json(json.loads(text)))
+    code, out, err = run_cli(capsys, "verify", str(path))
+    assert code == 3 and out == "" and "66922185 products" in err
     assert time.perf_counter() - start < 5
 
 
