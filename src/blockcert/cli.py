@@ -62,9 +62,10 @@ def _syntax_error(text: str, pos: int, expected: str | None) -> ParseError:
 
 
 def _int_group(match: re.Match, group: int) -> int:
+    """The integer a digit group reads, or ParseError at its start when the interpreter refuses its length."""
     try:
         return int(match[group])
-    except ValueError:  # more digits than the interpreter converts
+    except ValueError:
         start = match.start(group)
         raise ParseError(f"integer of {match.end(group) - start} digits is too long", start) from None
 

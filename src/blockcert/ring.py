@@ -32,7 +32,8 @@ _Q1 = Fraction(1)
 # monomials it can reach, times the bit growth of its binomial coefficients.
 # One term of degree 57 over 5 labels (the vanishing bound for g = 3) measures
 # at most 1.95e6; x[2,3]^9999 measures 1e8 and takes seconds, and so do eight
-# terms of degree 3161 over 3 labels, 1e7 each.
+# terms of degree 3161 over 3 labels, 1e7 each.  ``verify_certificate`` caps
+# its count of block-key by normal-form-term products with it too.
 EXPANSION_LIMIT = 10_000_000
 
 
