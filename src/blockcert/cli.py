@@ -130,7 +130,13 @@ def parse_poly(text: str, ground: IndexSet) -> Polynomial:
                 key, pos = _read_factors(text, pos + 1, labels)
         acc[key] = acc.get(key, 0) + coeff
         if pos == len(text):
-            return Polynomial.from_map(ground, acc)
+            # _read_factors has checked every label, index pair and exponent and
+            # sorted the pairs, so no Monomial is checked again
+            _require_ring_ground(ground)
+            terms = [_trusted(Monomial, ground=ground, coeff=Fraction(c) if type(c) is int else c, exps=exps)
+                     for exps, c in acc.items() if c]
+            terms.sort(key=Monomial.sort_key)  # distinct exps, so distinct keys: strictly sorted
+            return _trusted(Polynomial, ground=ground, terms=tuple(terms))
         if text[pos] not in "+-":
             raise _syntax_error(text, pos, None)
         head = _HEAD.match(text, pos)

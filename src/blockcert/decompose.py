@@ -76,16 +76,16 @@ class Certificate:
 # how the degree is spread over the pairs and not on the input coefficient.
 LABEL_LIMIT = 5
 
-# Most ``_decompose_entries`` calls one ``decompose`` makes.  At n = 5, g = 2
-# and the bound, x[1,2]^8*x[2,3]^8*x[3,4]^7*x[4,5]^7*x[5,1]^7 makes 220,030
-# calls, near the median of 48 seeded random monomials there, but the tail is
-# long: 20 of them make more than 500,000 calls and 3 from 2,000,000 to
-# 4,665,923.  Four of them and x[1,2]^37 make more than the limit and raise
-# SizeLimitError.
+# Most ``_decompose_entries`` calls one ``decompose`` makes, memo hits
+# included.  At n = 5, g = 2 and the bound, with the memo,
+# x[1,2]^8*x[2,3]^8*x[3,4]^7*x[4,5]^7*x[5,1]^7 makes 23,660 calls; 48 seeded
+# random monomials there make 928 to 389,094, with a median near 31,600; and
+# x[1,2]^37, the most measured, makes 1,197,599.
 CALL_LIMIT = 5_000_000
 
 Terms = dict[Exponents, int]
 Entries = dict[tuple[Label, ...], Terms]  # left part -> cofactor terms
+Memo = dict[tuple[tuple[Label, ...], Exponents], Entries]  # (labels, exponents) -> entries
 
 
 def _base_entries(mono: Monomial, g: int) -> Entries:
@@ -138,7 +138,7 @@ def _add_product(acc: Terms, terms: Terms, factor: Exponents, scale: int = 1) ->
         acc[key] = acc.get(key, 0) + scale * coeff
 
 
-def _decompose_entries(mono: Monomial, g: int, budget: Iterator[int]) -> Entries:
+def _decompose_entries(mono: Monomial, g: int, budget: Iterator[int], memo: Memo) -> Entries:
     """Nonzero certificate entries of the unit-coefficient monomial with the
     exponents of ``mono``, with integer terms over its ground set.
 
@@ -152,6 +152,14 @@ def _decompose_entries(mono: Monomial, g: int, budget: Iterator[int]) -> Entries
     leftover pairs^(2g), into the merged block's entry.  Zero sums are dropped
     at return.  Each call takes one item of ``budget``, shared by the whole
     recursion, and raises SizeLimitError when it is empty.
+
+    ``memo`` holds the entries of every sub-monomial over three or more labels
+    solved so far in one ``decompose`` call, keyed on its labels and
+    exponents (``g`` is fixed within the call).  A hit still takes its item
+    of ``budget``, and it is looked up after the pivot choice and the split,
+    so every sub-problem still passes ``split_at``, where perfbench/tracing.py
+    counts repeats.  Callers only read the returned maps, so a hit returns
+    the stored one without a copy.
     """
     if next(budget, None) is None:
         raise SizeLimitError(
@@ -163,13 +171,16 @@ def _decompose_entries(mono: Monomial, g: int, budget: Iterator[int]) -> Entries
 
     pivot = select_pivot(mono, g)
     touching, rest = split_at(mono, pivot)
+    key = (ground.elements, mono.exps)
+    if (solved := memo.get(key)) is not None:
+        return solved
     outer_ground = ground.without(pivot)
     first = ground.min()
     acc: Entries = {}
     # Below, every Monomial, Block and IndexSet is built from parts validated
     # at the top-level call, so none of them is checked again.
     outer_mono = _trusted(Monomial, ground=outer_ground, coeff=_Q1, exps=rest.exps)
-    for outer_left, theta in _decompose_entries(outer_mono, g, budget).items():
+    for outer_left, theta in _decompose_entries(outer_mono, g, budget, memo).items():
         outer_block = _trusted(Block, ground=outer_ground, left=outer_left)
         sub_grounds = {side: _trusted(IndexSet, elements=tuple(sorted(part + (pivot,))))
                        for side, part in (("H", outer_block.left), ("W", outer_block.right))}
@@ -183,7 +194,7 @@ def _decompose_entries(mono: Monomial, g: int, budget: Iterator[int]) -> Entries
                 # chosen reaches the bound of its side plus the pivot, checked by branch_of_split
                 selected = _trusted(Monomial, ground=sub_grounds[side], coeff=_Q1, exps=chosen)
                 scale = p.coeff.numerator * coeff
-                for inner_left, phi in _decompose_entries(selected, g, budget).items():
+                for inner_left, phi in _decompose_entries(selected, g, budget, memo).items():
                     _add_product(buckets.setdefault((side, inner_left), {}), phi, spare, scale)
         for (side, inner_left), terms in buckets.items():
             inner_block = _trusted(Block, ground=sub_grounds[side], left=inner_left)
@@ -191,15 +202,19 @@ def _decompose_entries(mono: Monomial, g: int, budget: Iterator[int]) -> Entries
             if first in merged.left:
                 merged = merged.transpose()
             _add_product(acc.setdefault(merged.left, {}), terms, tuple((pair, 2 * g) for pair in leftover))
-    return {left: kept for left, terms in acc.items() if (kept := {e: c for e, c in terms.items() if c})}
+    entries = {left: kept for left, terms in acc.items() if (kept := {e: c for e, c in terms.items() if c})}
+    memo[key] = entries
+    return entries
 
 
 def decompose(mono: Monomial, g: int) -> Certificate:
     """Certificate expressing ``mono`` through block monomials, built recursively.
 
     Requires deg(mono) >= vanishing_bound(n, g) for the n labels of its
-    ground set, n <= LABEL_LIMIT and at most CALL_LIMIT recursive calls (else
-    SizeLimitError).  Deterministic: pivots are the smallest qualifying
+    ground set, n <= LABEL_LIMIT and at most CALL_LIMIT recursive calls,
+    memo hits included (else SizeLimitError).  The recursion solves each
+    repeated sub-monomial once, through a memo that lives for this call
+    only.  Deterministic: pivots are the smallest qualifying
     labels, branch ties prefer "H", and entries are aggregated per block with
     the smallest label kept in the right part (two-label grounds keep the
     closed form as is).
@@ -214,7 +229,7 @@ def decompose(mono: Monomial, g: int) -> Certificate:
         raise PreconditionError(
             f"degree {mono.degree} below the vanishing bound {bound} for n={n}, g={g}"
         )
-    entries = _decompose_entries(mono, g, iter(range(CALL_LIMIT)))
+    entries = _decompose_entries(mono, g, iter(range(CALL_LIMIT)), {})
     ground, coeff = mono.ground, mono.coeff
     return Certificate(ground, g, mono, tuple(
         CertificateEntry(Block(ground, left),

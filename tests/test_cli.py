@@ -449,6 +449,14 @@ def test_verify_counts_block_by_cofactor_products(capsys, tmp_path):
     assert time.perf_counter() - start < 5
 
 
+def test_cmd_decompose_work_budget_exits_3(capsys, monkeypatch):
+    # the n = 4 cycle makes 39 recursive calls, above a budget of 10
+    monkeypatch.setattr(sys.modules["blockcert.decompose"], "CALL_LIMIT", 10)
+    code, out, err = run_cli(capsys, "decompose", "--ground", "1,2,3,4", "--g", "2",
+                             "x[1,2]^6*x[2,3]^6*x[3,4]^5*x[4,1]^5")
+    assert code == 3 and out == "" and "work budget" in err
+
+
 def test_cmd_verify_non_utf8_stdin_bytes():
     # the real process stdin: under a C locale Python decodes it with surrogateescape
     src = str(Path(__file__).resolve().parent.parent / "src")

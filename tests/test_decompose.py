@@ -246,8 +246,8 @@ def test_decompose_entries_have_integer_coefficients():
     for n, g in ((3, 2), (4, 2)):
         mono = random_monomial(rng, standard_ground(n), vanishing_bound(n, g), unit_coeff=True)
         scaled = Monomial(mono.ground, Fraction(-3, 4), mono.exps)
-        entries = dec._decompose_entries(scaled, g, iter(range(dec.CALL_LIMIT)))
-        assert entries == dec._decompose_entries(mono, g, iter(range(dec.CALL_LIMIT)))
+        entries = dec._decompose_entries(scaled, g, iter(range(dec.CALL_LIMIT)), {})
+        assert entries == dec._decompose_entries(mono, g, iter(range(dec.CALL_LIMIT)), {})
         assert entries and all(type(c) is int for terms in entries.values() for c in terms.values())
 
 
@@ -289,6 +289,34 @@ def test_decompose_work_budget(monkeypatch):
     monkeypatch.setattr(dec, "CALL_LIMIT", calls - 1)
     with pytest.raises(SizeLimitError, match="work budget"):
         decompose(mono, 2)
+
+
+def test_decompose_memo_solves_each_repeated_sub_monomial_once(monkeypatch):
+    # every degree on one pair: without the memo the recursion makes 4,094 calls
+    dec = sys.modules["blockcert.decompose"]
+    mono = Monomial.make(X4, 1, {(1, 2): 22})
+    calls = 0
+    original = dec._decompose_entries
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return original(*args)
+
+    monkeypatch.setattr(dec, "_decompose_entries", counting)
+    decompose(mono, 2)
+    assert calls == 1360
+
+
+def test_decompose_memo_lives_in_one_call():
+    # the memo key leaves g out, so a memo shared between calls would hand
+    # g = 2 entries to a g = 3 call of the same exponents, or back
+    mono = Monomial.make(X4, 1, {(1, 2): 10, (2, 3): 10, (3, 4): 7, (4, 1): 7})
+    fresh = {g: decompose(mono, g) for g in (2, 3)}
+    assert fresh[2].entries != fresh[3].entries
+    for g in (2, 3, 2, 3, 2):
+        cert = decompose(mono, g)
+        assert cert == fresh[g] and verify_certificate(cert)
 
 
 def test_decompose_rejects_non_monomial():
