@@ -13,6 +13,7 @@ rank, with no floating point anywhere.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -81,9 +82,7 @@ class IntRowSpace:
 
     @staticmethod
     def _normalize(row: list[int], pivot_col: int) -> list[int]:
-        scale = 0
-        for x in row:
-            scale = math.gcd(scale, x)
+        scale = math.gcd(*row)
         if row[pivot_col] < 0:
             scale = -scale
         return [x // scale for x in row]
@@ -94,7 +93,7 @@ class IntRowSpace:
         pivot_col = next((c for c, x in enumerate(reduced) if x), None)
         if pivot_col is None:
             return False
-        at = next((k for k, c in enumerate(self.pivot_cols) if c > pivot_col), len(self.rows))
+        at = bisect.bisect_right(self.pivot_cols, pivot_col)
         self.rows.insert(at, self._normalize(reduced, pivot_col))
         self.pivot_cols.insert(at, pivot_col)
         return True
@@ -131,14 +130,13 @@ class BlockIdealSlice:
 
     @cached_property
     def _space(self) -> IntRowSpace:
-        width = len(self.ground) - 1
         ncols = dim_ring_graded(len(self.ground), self.degree)
         blocks = [
             (block, self.degree - 2 * self.g * block.pair_count)
             for block in enumerate_blocks(self.ground)
             if self.ground.min() in block.right and self.degree >= 2 * self.g * block.pair_count
         ]
-        nrows = sum(math.comb(remaining + width - 1, width - 1) for _, remaining in blocks)
+        nrows = sum(dim_ring_graded(len(self.ground), remaining) for _, remaining in blocks)
         if nrows * ncols > SIZE_LIMIT:  # checked before any row or column is built
             raise SizeLimitError(f"{nrows} rows x {ncols} columns exceeds the limit {SIZE_LIMIT}")
         keys, columns = self._layout

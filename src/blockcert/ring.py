@@ -221,21 +221,18 @@ class Polynomial:
 
     @classmethod
     def constant(cls, ground: IndexSet, value) -> "Polynomial":
-        if type(value) is not int and not isinstance(value, Fraction):
-            raise PreconditionError(f"constant must be an int or a Fraction, got {value!r}")
-        if value == 0:
-            return cls.zero(ground)
-        return cls(ground, (Monomial(ground, value),))
+        return cls.from_map(ground, {(): value})
 
     @classmethod
     def variable(cls, ground: IndexSet, i: Label, j: Label) -> "Polynomial":
         return cls(ground, (Monomial(ground, _Q1, (((i, j), 1),)),))
 
     @classmethod
-    def from_map(cls, ground: IndexSet, mapping: Mapping[Exponents, Fraction]) -> "Polynomial":
-        """Build from an exponents -> coefficient map; zero coefficients are dropped."""
+    def from_map(cls, ground: IndexSet, mapping: Mapping[Exponents, int | Fraction]) -> "Polynomial":
+        """Build from an exponents -> coefficient map; int and Fraction zeros are dropped, Monomial judges the rest."""
         _require_ring_ground(ground)
-        terms = [Monomial(ground, c, exps) for exps, c in mapping.items() if c != 0]
+        terms = [Monomial(ground, c, exps) for exps, c in mapping.items()
+                 if c != 0 or (type(c) is not int and not isinstance(c, Fraction))]
         terms.sort(key=Monomial.sort_key)  # distinct exps, so distinct keys: strictly sorted
         return _trusted(cls, ground=ground, terms=tuple(terms))
 
@@ -472,5 +469,4 @@ def normal_form(p: Polynomial) -> Polynomial:
 
 def eq_mod_relations(p: Polynomial, q: Polynomial) -> bool:
     """True iff p and q represent the same class in the quotient ring."""
-    p._require_same_ground(q)
     return normal_form(p - q).is_zero

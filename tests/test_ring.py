@@ -1,5 +1,6 @@
 """Ring arithmetic, base-variable rewriting, and normal forms."""
 
+from decimal import Decimal
 from fractions import Fraction
 import math
 import random
@@ -107,6 +108,13 @@ def test_constant_takes_int_or_fraction_only():
     for value in (0.1, True, "3/4", 1.0, None):
         with pytest.raises(PreconditionError, match="int or a Fraction"):
             Polynomial.constant(X3, value)
+    # from_map drops only int and Fraction zeros: a float, bool or Decimal zero is refused, not dropped
+    exps = (((1, 2), 1),)
+    for value in (0.0, False, Decimal(0), 0.1, None):
+        with pytest.raises(PreconditionError, match="int or a Fraction"):
+            Polynomial.from_map(X3, {exps: value})
+    for value in (0, Fraction(0)):
+        assert Polynomial.from_map(X3, {exps: value}) == Polynomial.zero(X3)
 
 
 def test_zero_polynomial_has_no_degree():
