@@ -250,11 +250,13 @@ def verify_certificate(cert: Certificate) -> bool:
     integers, scaled by one common denominator, on the packed keys of
     ``ring._BaseKeys`` for the input degree.  Structural defects are
     rejected at construction time with MalformedCertificateError, never
-    reported as False here.  The input, each block monomial and each
-    cofactor's normal form are measured before they are expanded, and the
-    products of block expansion keys by normal-form terms are counted, summed
-    over the entries, before each entry's are taken: a measure or a count
-    above EXPANSION_LIMIT raises SizeLimitError.
+    reported as False here.  The expansions of the input, of each block
+    monomial and of each cofactor's normal form are charged as they run,
+    before each binomial row is built, and the products of block expansion
+    keys by normal-form terms are counted, summed over the entries, before
+    each entry's are taken: a charge or a count above EXPANSION_LIMIT raises
+    SizeLimitError.  Block expansions are built once per ground, field width,
+    block and power, and shared between certificates.
     """
     zeta = cert.input
     degree = zeta.degree
@@ -268,7 +270,7 @@ def verify_certificate(cert: Certificate) -> bool:
     ground = cert.ground
     keys = _BaseKeys(ground, ground.min(), degree)
     # NF coefficients are integer combinations of their cofactor's, so the
-    # cofactors' denominators clear them: the input is measured before any NF.
+    # cofactors' denominators clear them: the input is expanded before any NF.
     scale = _common_denominator((zeta, *(t for entry in cert.entries for t in entry.cofactor.terms)))
     acc: dict[int, int] = {}
     keys.expand((zeta,), -scale, acc)

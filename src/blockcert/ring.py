@@ -12,10 +12,12 @@ integers.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
+from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
 
 from .errors import GroundMismatchError, PreconditionError, SizeLimitError
@@ -27,13 +29,13 @@ Exponents = tuple[tuple[Pair, int], ...]
 _Q0 = Fraction(0)
 _Q1 = Fraction(1)
 
-# Cap on the sum, over the terms of one expansion, of each term's measure
-# (``_BaseKeys.expand``): the products its expansion runs, at most the base
-# monomials it can reach, times the bit growth of its binomial coefficients.
-# One term of degree 57 over 5 labels (the vanishing bound for g = 3) measures
-# at most 1.95e6; x[2,3]^9999 measures 1e8 and takes seconds, and so do eight
-# terms of degree 3161 over 3 labels, 1e7 each.  ``verify_certificate`` caps
-# its count of block-key by normal-form-term products with it too.
+# Cap on the charge of one expansion (``_BaseKeys.expand``), taken as it runs:
+# the products each binomial row is about to run, times the bit growth of the
+# coefficients.  The largest expansion in verifying any of 48 seeded n = 5,
+# g = 2 certificates at the bound is charged 1,043,700; x[2,3]^9999 would be
+# charged 1e8 and took seconds, and so would eight terms of degree 3161 over
+# 3 labels, 1e7 each.  ``verify_certificate`` caps its count of block-key by
+# normal-form-term products with it too.
 EXPANSION_LIMIT = 10_000_000
 
 
@@ -320,18 +322,25 @@ class _BaseKeys:
         whole expansion is integer multiply-adds; a negative ``scale``
         subtracts.  Sums that cancel leave ``acc``.
 
-        Each term is folded once, both orientations of a pair into one power.
-        A term of degree d then measures d * min(P, C(d + w - 1, w - 1)) over
-        the w base variables, where P is the product of e + 1 over its powers
-        x[i,j]^e off the base label: the product loop its expansion runs,
-        capped by the base monomials it can reach, times the bit growth of
-        the coefficients.  Raises SizeLimitError, before any term is
-        expanded, when the terms measure above EXPANSION_LIMIT in sum.
+        Each term is folded once, both orientations of a pair into one power
+        x[i,j]^e off the base label, and the terms are grouped by the powers
+        they have left: a group maps packed keys to coefficients.  Each group
+        then expands its first power and lands on the group of the powers
+        after it, so the folded variables are expanded one at a time, and
+        terms that share powers share their partial expansions.  Groups with
+        the most powers left go first, so every group is complete when its
+        turn comes; equal keys merge, and zero sums drop before a group is
+        expanded further.  Before a binomial row is built, the expansion is
+        charged d * (e + 1) per key of the group, d the top degree of the
+        terms: the products the row runs, times the bit growth of the
+        coefficients.  Raises SizeLimitError as soon as the charges sum above
+        EXPANSION_LIMIT.
         """
         base, units = self.base, self.units
-        width = len(units)
-        size = 0
-        folded = []
+        top = 0
+        # levels[k]: the groups with k folded powers left, {powers left: {key: coeff}}
+        levels: list[dict[tuple[tuple[Pair, int], ...], dict[int, int]]] = [
+            {} for _ in range(len(units) * (len(units) - 1) // 2 + 1)]
         for t in terms:
             start = 0
             negate = 0
@@ -351,43 +360,42 @@ class _BaseKeys:
                         i, j = j, i
                         negate ^= e & 1
                     powers[i, j] = powers.get((i, j), 0) + e
-            size += degree * min(math.prod(e + 1 for e in powers.values()),
-                                 math.comb(degree + width - 1, width - 1))
+            if degree > top:
+                top = degree
             coeff = t.coeff.numerator * (scale // t.coeff.denominator)
-            folded.append((start, -coeff if negate else coeff, powers))
-        if size > EXPANSION_LIMIT:
-            raise SizeLimitError(
-                f"expanding terms over {width} base variables measures {size}, "
-                f"above the limit {EXPANSION_LIMIT}"
-            )
-        for start, coeff, powers in folded:
-            local = {start: coeff}
-            for (i, j), e in powers.items():
-                # x[i,j] == x[base,j] - x[base,i]; expand the e-th power exactly.
-                ui, uj = units[i], units[j]
-                expansion = [
-                    (-math.comb(e, k) if (e - k) & 1 else math.comb(e, k), (e - k) * ui + k * uj)
-                    for k in range(e + 1)
-                ]
-                nxt: dict[int, int] = {}
-                for key, c in local.items():
-                    for bc, offset in expansion:
+            group = levels[len(powers)].setdefault(tuple(sorted(powers.items())), {})
+            group[start] = group.get(start, 0) + (-coeff if negate else coeff)
+        size = 0
+        for left in range(len(levels) - 1, 0, -1):
+            for powers, states in levels[left].items():
+                if 0 in states.values():
+                    states = {key: c for key, c in states.items() if c}
+                ((i, j), e), rest = powers[0], powers[1:]
+                size += top * (e + 1) * len(states)
+                if size > EXPANSION_LIMIT:
+                    raise SizeLimitError(
+                        f"expanding terms over {len(units)} base variables measures {size}, "
+                        f"above the limit {EXPANSION_LIMIT}"
+                    )
+                # x[i,j] == x[base,j] - x[base,i]; expand the e-th power exactly:
+                # its k-th term is (-1)^(e-k) C(e, k) x[base,i]^(e-k) x[base,j]^k
+                first, step = e * units[i], units[j] - units[i]
+                row = [(bc, first + k * step) for k, bc in enumerate(_signed_binomials(e))]
+                nxt = levels[left - 1].setdefault(rest, {})
+                for key, c in states.items():
+                    for bc, offset in row:
                         at = key + offset
                         nxt[at] = nxt.get(at, 0) + c * bc
-                local = nxt
-            for key, c in local.items():
-                total = acc.get(key, 0) + c
-                if total:
-                    acc[key] = total
-                else:
-                    acc.pop(key, None)
+        for key, c in levels[0].get((), {}).items():
+            total = acc.get(key, 0) + c
+            if total:
+                acc[key] = total
+            else:
+                acc.pop(key, None)
 
-    def block(self, pairs: Iterable[Pair], power: int) -> dict[int, int]:
-        """The expansion of the product of x[i,j]^power over ``pairs``, measured as any other."""
-        term = _trusted(Monomial, ground=self.ground, coeff=_Q1, exps=tuple((pair, power) for pair in pairs))
-        acc: dict[int, int] = {}
-        self.expand((term,), 1, acc)
-        return acc
+    def block(self, pairs: tuple[Pair, ...], power: int) -> Mapping[int, int]:
+        """The expansion of the product of x[i,j]^power over ``pairs``, read-only: it is shared."""
+        return _block_form(self.ground, self.base, self.bits, pairs, power)
 
     def pack(self, terms: Iterable[Monomial], scale: int) -> Iterator[tuple[int, int]]:
         """(key, integer coefficient * ``scale``) of each term, all in the base variables."""
@@ -432,13 +440,32 @@ class _BaseKeys:
         return _trusted(Polynomial, ground=ground, terms=tuple([m for _, m in keyed]))
 
 
+# Honest exponents stay below 64; a row is built only after the budget has paid for it.
+@functools.lru_cache(maxsize=64)
+def _signed_binomials(e: int) -> tuple[int, ...]:
+    """(-1)^(e-k) * C(e, k) for k = 0..e: the coefficients of (y - x)^e, x^e first."""
+    return tuple(-math.comb(e, k) if (e - k) & 1 else math.comb(e, k) for k in range(e + 1))
+
+
+# A ground of n labels has 2^(n-1) - 1 blocks up to transposition, 15 at n = 5,
+# and each field width in use has its own forms: 64 covers a few widths at n = 5.
+@functools.lru_cache(maxsize=64)
+def _block_form(ground: IndexSet, base: Label, bits: int, pairs: tuple[Pair, ...], power: int) -> Mapping[int, int]:
+    """``_BaseKeys.block``, expanded once per key; a form above the budget raises and is not kept."""
+    term = _trusted(Monomial, ground=ground, coeff=_Q1, exps=tuple((pair, power) for pair in pairs))
+    acc: dict[int, int] = {}
+    _BaseKeys(ground, base, (1 << bits) - 1).expand((term,), 1, acc)  # the degree whose fields are bits wide
+    return MappingProxyType(acc)
+
+
 def _to_base(ground: IndexSet, terms: tuple[Monomial, ...], base: Label) -> Polynomial:
     """The sum of ``terms`` in the variables x[base,j] only.
 
     Every term is scaled to an integer by the common denominator and expanded
     on keys wide enough for the top degree, and each output coefficient is
-    divided by that denominator once.  Raises SizeLimitError before expanding
-    anything when the terms together exceed EXPANSION_LIMIT.
+    divided by that denominator once.  Raises SizeLimitError, before the
+    binomial row that would pass it is built, when the expansion is charged
+    above EXPANSION_LIMIT.
     """
     keys = _BaseKeys(ground, base, max((t.degree for t in terms), default=0))
     scale = _common_denominator(terms)

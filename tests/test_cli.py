@@ -29,6 +29,7 @@ from blockcert import (
     poly_to_str,
     verify_certificate,
 )
+from blockcert.ring import _block_form
 from helpers import random_poly, standard_ground
 
 X2 = IndexSet((1, 2))
@@ -326,7 +327,7 @@ def test_exit_codes_for_errors(capsys, tmp_path, monkeypatch):
     # multi-term input where a monomial is required -> 3
     code, _, err = run_cli(capsys, "decompose", "--ground", "1,2", "--g", "2", "x[1,2]^4+x[2,1]^4")
     assert code == 3 and "single monomial" in err
-    # expansion budget -> 3, checked before any term is expanded
+    # expansion budget -> 3, charged before the binomial row of x[2,3]^(10^8) is built
     start = time.perf_counter()
     code, _, err = run_cli(capsys, "nf", "--ground", "1,2,3", "x[1,2]^100000000*x[2,3]^100000000")
     assert code == 3 and "above the limit" in err
@@ -418,18 +419,19 @@ def test_exit_codes_for_errors(capsys, tmp_path, monkeypatch):
 
 
 def test_verify_measures_block_monomials(capsys, tmp_path):
-    # The input measures 480 and the cofactor is a constant, but the block monomial
-    # over {2,3} x {1,4,5} with power 80 measures 8,958,374,880: unmeasured, its
-    # 81^4 products ran for 43 s before verify printed false.
+    # The input measures nothing and the cofactor is a constant, but the block
+    # monomial over {2,3} x {1,4,5} with power 80 has four powers off the base label:
+    # charged 480 * 81 * (1 + 81 + 81^2) = 258,279,840 by its third, it stops there.
+    # Unmeasured, its 81^4 products ran for 43 s before verify printed false.
     text = ('{"ground":[1,2,3,4,5],"g":40,"input":{"terms":[{"coeff":"1","exps":[[[1,2],480]]}]},'
             '"entries":[{"left":[2,3],"cofactor":{"terms":[{"coeff":"1","exps":[]}]}}]}')
     path = tmp_path / "cert.json"
     path.write_text(text, encoding="utf-8")
     start = time.perf_counter()
-    with pytest.raises(SizeLimitError, match="measures 8958374880, above the limit"):
+    with pytest.raises(SizeLimitError, match="measures 258279840, above the limit"):
         verify_certificate(certificate_from_json(json.loads(text)))
     code, out, err = run_cli(capsys, "verify", str(path))
-    assert code == 3 and out == "" and "measures 8958374880" in err
+    assert code == 3 and out == "" and "measures 258279840" in err
     assert time.perf_counter() - start < 5
 
 
@@ -447,6 +449,30 @@ def test_verify_counts_block_by_cofactor_products(capsys, tmp_path):
     code, out, err = run_cli(capsys, "verify", str(path))
     assert code == 3 and out == "" and "66922185 products" in err
     assert time.perf_counter() - start < 5
+
+
+def test_verify_keeps_block_forms_of_each_field_width(capsys, tmp_path):
+    # Both certificates use the blocks {2} x {1,3} and {2,3} x {1} with power 4, but
+    # degree 15 packs keys in 4-bit fields and degree 16 in 5-bit ones: a block form
+    # kept for one width and read at the other turns the answer wrong, in either order.
+    paths = []
+    for degree in (15, 16):
+        code, out, _ = run_cli(capsys, "decompose", "--ground", "1,2,3", "--g", "2",
+                               f"x[1,2]^{degree - 5}*x[2,3]^3*x[3,1]^2")
+        assert code == 0
+        cert = json.loads(out)
+        assert [entry["left"] for entry in cert["entries"]] == [[2], [2, 3]]
+        term = cert["entries"][0]["cofactor"]["terms"][0]
+        paths.append(tmp_path / f"d{degree}.json")
+        paths[-1].write_text(out, encoding="utf-8")
+        term["coeff"] = str(Fraction(term["coeff"]) + Fraction(1, 2))
+        paths.append(tmp_path / f"d{degree}-perturbed.json")
+        paths[-1].write_text(json.dumps(cert), encoding="utf-8")
+    for order in (paths, paths[2:] + paths[:2]):
+        _block_form.cache_clear()
+        for path in order:
+            code, out, _ = run_cli(capsys, "verify", str(path))
+            assert (code, out) == ((1, "false\n") if "perturbed" in path.name else (0, "true\n"))
 
 
 def test_cmd_decompose_work_budget_exits_3(capsys, monkeypatch):

@@ -267,6 +267,15 @@ def test_verify_accepts_n5_certificate_with_many_cofactor_terms():
     assert verify_certificate(decompose(mono, 2))
 
 
+@pytest.mark.parametrize("seed", [14, 17])
+def test_verify_accepts_n5_certificates_whose_terms_share_powers(seed):
+    # Expanded term by term, the largest cofactors of these two n = 5 inputs at the
+    # bound measured 13,134,324 and 10,044,321, above EXPANSION_LIMIT, so verify
+    # refused certificates that decompose had built.
+    mono = random_monomial(random.Random(seed), standard_ground(5), 37)
+    assert verify_certificate(decompose(mono, 2))
+
+
 def test_decompose_work_budget(monkeypatch):
     dec = sys.modules["blockcert.decompose"]
     mono = Monomial.make(X4, Fraction(-1, 2), {(1, 2): 6, (2, 3): 6, (3, 4): 5, (4, 1): 5})

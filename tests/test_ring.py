@@ -19,6 +19,7 @@ from blockcert import (
     parse_poly,
     rewrite_to_base,
 )
+from blockcert.ring import _BaseKeys, _block_form
 from helpers import eval_at, random_monomial, random_point, random_poly, relation_generators, standard_ground, sum_of
 
 X2 = IndexSet((1, 2))
@@ -213,7 +214,7 @@ def test_expansion_budget():
     # one term at the vanishing bound of n = 5, g = 3 (degree 57) is inside it
     x5 = standard_ground(5)
     assert normal_form(Monomial.make(x5, 1, {(2, 3): 57}).as_poly()).degree == 57
-    # the measure is summed over the terms: 3161 * 3162 = 9,995,082 and 3161 * 3161 = 9,991,921
+    # the charge is summed over the rows: 3161 * 3162 = 9,995,082 and 3161 * 3161 = 9,991,921
     terms = [Monomial.make(X3, 1, {(1, 3): k, (2, 3): 3161 - k}) for k in range(2)]
     with pytest.raises(SizeLimitError, match="measures 19987003"):
         normal_form(Polynomial.from_map(X3, {t.exps: t.coeff for t in terms}))
@@ -268,6 +269,20 @@ def test_expansion_matches_polynomial_substitution():
         p = sum_of(ground, [Monomial.make(ground, 3, {low: 1}),
                             Monomial.make(ground, Fraction(-1, 2), {high: 32})])
         assert normal_form(p) == _substituted(p.terms[0], 1) + _substituted(p.terms[1], 1)
+
+
+def test_block_forms_are_kept_per_ground_base_and_width():
+    # One process builds the form of x[2,3]^2 * x[3,1]^2 over two grounds, for
+    # every base label and in fields 3 and 4 bits wide; each must be that
+    # monomial's own rewrite, so no form is read under another's keys.
+    _block_form.cache_clear()
+    pairs = ((2, 3), (3, 1))
+    for ground in (X3, standard_ground(4)):
+        mono = Monomial.make(ground, 1, {pair: 2 for pair in pairs})
+        for base in ground:
+            for degree in (7, 8):
+                keys = _BaseKeys(ground, base, degree)
+                assert keys.block(pairs, 2) == dict(keys.pack(rewrite_to_base(mono, base).terms, 1))
 
 
 # -- normal forms ------------------------------------------------------------
