@@ -255,8 +255,7 @@ def verify_certificate(cert: Certificate) -> bool:
     before each binomial row is built, and the products of block expansion
     keys by normal-form terms are counted, summed over the entries, before
     each entry's are taken: a charge or a count above EXPANSION_LIMIT raises
-    SizeLimitError.  Block expansions are built once per ground, field width,
-    block and power, and shared between certificates.
+    SizeLimitError.
     """
     zeta = cert.input
     degree = zeta.degree

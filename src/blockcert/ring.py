@@ -329,12 +329,12 @@ class _BaseKeys:
         after it, so the folded variables are expanded one at a time, and
         terms that share powers share their partial expansions.  Groups with
         the most powers left go first, so every group is complete when its
-        turn comes; equal keys merge, and zero sums drop before a group is
-        expanded further.  Before a binomial row is built, the expansion is
-        charged d * (e + 1) per key of the group, d the top degree of the
-        terms: the products the row runs, times the bit growth of the
-        coefficients.  Raises SizeLimitError as soon as the charges sum above
-        EXPANSION_LIMIT.
+        turn comes; equal keys merge, zero sums drop before a group is
+        expanded further, and a group that cancels builds no row.  Before a
+        binomial row is built, the expansion is charged d * (e + 1) per key
+        of the group, d the top degree of the terms: the products the row
+        runs, times the bit growth of the coefficients.  Raises
+        SizeLimitError as soon as the charges sum above EXPANSION_LIMIT.
         """
         base, units = self.base, self.units
         top = 0
@@ -370,6 +370,9 @@ class _BaseKeys:
             for powers, states in levels[left].items():
                 if 0 in states.values():
                     states = {key: c for key, c in states.items() if c}
+                    if not states:
+                        # the group cancelled: no row to build, nothing to charge
+                        continue
                 ((i, j), e), rest = powers[0], powers[1:]
                 size += top * (e + 1) * len(states)
                 if size > EXPANSION_LIMIT:
@@ -380,7 +383,8 @@ class _BaseKeys:
                 # x[i,j] == x[base,j] - x[base,i]; expand the e-th power exactly:
                 # its k-th term is (-1)^(e-k) C(e, k) x[base,i]^(e-k) x[base,j]^k
                 first, step = e * units[i], units[j] - units[i]
-                row = [(bc, first + k * step) for k, bc in enumerate(_signed_binomials(e))]
+                bcs = _SMALL_ROWS[e] if e < len(_SMALL_ROWS) else _signed_binomials(e)
+                row = [(bc, first + k * step) for k, bc in enumerate(bcs)]
                 nxt = levels[left - 1].setdefault(rest, {})
                 for key, c in states.items():
                     for bc, offset in row:
@@ -440,15 +444,22 @@ class _BaseKeys:
         return _trusted(Polynomial, ground=ground, terms=tuple([m for _, m in keyed]))
 
 
-# Honest exponents stay below 64; a row is built only after the budget has paid for it.
-@functools.lru_cache(maxsize=64)
 def _signed_binomials(e: int) -> tuple[int, ...]:
     """(-1)^(e-k) * C(e, k) for k = 0..e: the coefficients of (y - x)^e, x^e first."""
     return tuple(-math.comb(e, k) if (e - k) & 1 else math.comb(e, k) for k in range(e + 1))
 
 
+# The rows of the powers below 64, built once at import: 2,080 integers below
+# 2^63.  The benchmark workloads build no row above power 14, and building each
+# of their rows afresh took most of this loop's end-to-end gain on cert-n4.
+# A higher power's row is built after it is charged, and it is not kept.
+_SMALL_ROWS = tuple(_signed_binomials(e) for e in range(64))
+
+
 # A ground of n labels has 2^(n-1) - 1 blocks up to transposition, 15 at n = 5,
 # and each field width in use has its own forms: 64 covers a few widths at n = 5.
+# One certificate merges its entries by block, so the cache pays off only when
+# one process verifies many certificates or Hilbert slices.
 @functools.lru_cache(maxsize=64)
 def _block_form(ground: IndexSet, base: Label, bits: int, pairs: tuple[Pair, ...], power: int) -> Mapping[int, int]:
     """``_BaseKeys.block``, expanded once per key; a form above the budget raises and is not kept."""

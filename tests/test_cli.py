@@ -435,6 +435,28 @@ def test_verify_measures_block_monomials(capsys, tmp_path):
     assert time.perf_counter() - start < 5
 
 
+def test_cancelled_groups_build_no_binomial_row(capsys, tmp_path):
+    # x[3,2] == -x[2,3], so x[2,3]^N - x[3,2]^N folds into one group that cancels,
+    # and x[2,3] - x[2,4] + x[1,4] - x[1,3] == 0 cancels once the first powers are
+    # expanded.  A cancelled group is charged nothing, so it must build no row:
+    # the row of x[2,3]^(10^8) has 10^8 + 1 binomials of up to 10^8 bits.
+    n = 10**8
+    m = 10**6
+    four = "".join(f"{s}{t}*x[3,4]^{m}" for s, t in (("", "x[2,3]"), ("-", "x[2,4]"), ("+", "x[1,4]"), ("-", "x[1,3]")))
+    cofactor = {"terms": [{"coeff": c, "exps": [[pair, n]]} for c, pair in (("1", [2, 3]), ("-1", [3, 2]))]}
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps({"ground": [1, 2, 3], "g": 2, "input": {"terms": [{"coeff": "1", "exps": [[[1, 2], n + 8]]}]},
+                                "entries": [{"left": [2], "cofactor": cofactor}]}), encoding="utf-8")
+    for args, expected in ((("nf", "--ground", "1,2,3", f"x[2,3]^{n}-x[3,2]^{n}"), "0\n"),
+                           (("eq", "--ground", "1,2,3", f"x[2,3]^{n}", f"x[3,2]^{n}"), "true\n"),
+                           (("nf", "--ground", "1,2,3,4", four), "0\n"),
+                           (("verify", str(path)), "false\n")):
+        start = time.perf_counter()
+        code, out, _ = run_cli(capsys, *args)
+        assert out == expected and code == (1 if expected == "false\n" else 0)
+        assert time.perf_counter() - start < 5
+
+
 def test_verify_counts_block_by_cofactor_products(capsys, tmp_path):
     # Each factor is within the expansion budget, but the block expansion has
     # 17,985 keys and the cofactor's normal form 3,721 terms: uncounted, their

@@ -220,6 +220,25 @@ def test_expansion_budget():
         normal_form(Polynomial.from_map(X3, {t.exps: t.coeff for t in terms}))
 
 
+def test_expansion_budget_threshold_for_dense_terms():
+    # One term spread evenly over the pairs off base label 1 is charged for every
+    # key of every row it builds, so at n = 5 (six pairs) degree 61 fits and 62 is
+    # refused, and at n = 4 (three pairs) 125 fits and 126 is refused.  The earlier
+    # up-front measure, capped by the base monomials a term can reach, refused
+    # from degree 87 and 271: a change to the charge moves these figures.
+    for n, fits in ((5, 61), (4, 125)):
+        ground = standard_ground(n)
+        pairs = [(i, j) for i in range(2, n + 1) for j in range(i + 1, n + 1)]
+
+        def spread(degree):
+            q, r = divmod(degree, len(pairs))
+            return Monomial.make(ground, 1, {pair: q + (k < r) for k, pair in enumerate(pairs)})
+
+        assert rewrite_to_base(spread(fits), 1).degree == fits
+        with pytest.raises(SizeLimitError):
+            rewrite_to_base(spread(fits + 1), 1)
+
+
 def _substituted(mono, base):
     """``mono`` under x[i,j] -> x[base,j] - x[base,i], x[base,base] = 0, by Polynomial arithmetic."""
     ground = mono.ground
