@@ -89,14 +89,14 @@ def _degree_avoiding(mono: Monomial, label: Label) -> int:
     return sum(e for pair, e in mono.exps if label not in pair)
 
 
-def select_pivot(mono: Monomial, g: int) -> Label:
+def select_pivot(mono: Monomial, required_rest: int) -> Label:
     """Smallest label whose removal keeps enough degree on the other pairs.
 
-    With n labels and deg(mono) >= n(n-1)g - n + 2, some label z leaves
-    degree >= (n-1)(n-2)g - n + 3 on the variables that avoid it, both
-    orientations of a pair counted; the smallest such z is returned.
+    ``required_rest`` is ``vanishing_bound(n - 1, g)`` for the n labels of
+    ``mono``.  With deg(mono) >= n(n-1)g - n + 2, some label z leaves degree
+    >= (n-1)(n-2)g - n + 3 on the variables that avoid it, both orientations
+    of a pair counted; the smallest such z is returned.
     """
-    required_rest = vanishing_bound(len(mono.ground) - 1, g)
     for z in mono.ground:
         if _degree_avoiding(mono, z) >= required_rest:
             return z
@@ -123,16 +123,18 @@ class BranchChoice(NamedTuple):
     spare: Exponents  # the other factors
 
 
-def branch_of_split(mono: Monomial, outer: Block, g: int) -> BranchChoice:
+def branch_of_split(mono: Monomial, outer: Block, left_bound: int, right_bound: int) -> BranchChoice:
     """Route a base-variable monomial to one side of the outer block.
 
     ``outer`` must be a block of the ground set of ``mono`` minus one label,
-    the pivot, and ``mono`` must use variables x[pivot,j] only.  Whenever
-    deg >= n(n-1)g - n + 2 - 2g*h*w, at least one side carries enough degree:
-    the left total reaches g*h*(h+1) - h + 1 ("H") or the right total reaches
-    g*w*(w+1) - w + 1 ("W").  Ties prefer H.  Returns the side with the
-    factors of ``mono`` on it, whose degree reaches that side's bound, and
-    the spare factors.
+    the pivot, and ``mono`` must use variables x[pivot,j] only.  With h and w
+    the sizes of the outer left and right parts, ``left_bound`` is
+    ``vanishing_bound(h + 1, g)`` = g*h*(h+1) - h + 1 and ``right_bound`` is
+    ``vanishing_bound(w + 1, g)``.  Whenever deg >= n(n-1)g - n + 2 - 2g*h*w,
+    the left total reaches ``left_bound`` ("H") or the right total reaches
+    ``right_bound`` ("W").  Ties prefer H.  Returns the side with the factors
+    of ``mono`` on it, whose degree reaches that side's bound, and the spare
+    factors.
     """
     left = outer.left
     on_left, on_right = [], []
@@ -145,11 +147,9 @@ def branch_of_split(mono: Monomial, outer: Block, g: int) -> BranchChoice:
         else:
             on_right.append(item)
             right_degree += e
-    h = len(left)
-    w = len(outer.ground) - h
-    if left_degree >= vanishing_bound(h + 1, g):
+    if left_degree >= left_bound:
         return BranchChoice("H", tuple(on_left), tuple(on_right))
-    if right_degree < vanishing_bound(w + 1, g):
+    if right_degree < right_bound:
         raise RuntimeError("internal consistency failure: neither side reaches its bound")
     return BranchChoice("W", tuple(on_right), tuple(on_left))
 
@@ -224,6 +224,7 @@ def pivot_lemma_check(ground: IndexSet, g: int, samples: int = 0,
     else:
         _require_case_count(math.comb(total + len(keys) - 1, len(keys) - 1))
         source = iter_compositions(total, len(keys))
+    required_rest = vanishing_bound(n - 1, g)
     checked = 0
     failures = []
     for comp in source:
@@ -231,7 +232,7 @@ def pivot_lemma_check(ground: IndexSet, g: int, samples: int = 0,
         # the keys ascend and zero counts are dropped, so the exponents are valid
         exps = tuple((key, c) for key, c in zip(keys, comp) if c)
         try:
-            select_pivot(_trusted(Monomial, ground=ground, coeff=_Q1, exps=exps), g)
+            select_pivot(_trusted(Monomial, ground=ground, coeff=_Q1, exps=exps), required_rest)
         except RuntimeError:
             failures.append(comp)
     return checked, failures
@@ -260,6 +261,7 @@ def split_lemma_check(ground: IndexSet, g: int) -> tuple[int, list[tuple[int, ..
     failures = []
     for h, threshold in thresholds.items():
         w = n - 1 - h
+        bounds = vanishing_bound(h + 1, g), vanishing_bound(w + 1, g)
         outer = _trusted(Block, ground=rest, left=rest.elements[:h])
         on_left, on_right = (pivot, rest.elements[0]), (pivot, rest.elements[h])
         for a in range(threshold + 1):
@@ -268,7 +270,7 @@ def split_lemma_check(ground: IndexSet, g: int) -> tuple[int, list[tuple[int, ..
             # the keys ascend and zero counts are dropped, so the exponents are valid
             exps = tuple((key, c) for key, c in ((on_left, a), (on_right, b)) if c)
             try:
-                branch_of_split(_trusted(Monomial, ground=ground, coeff=_Q1, exps=exps), outer, g)
+                branch_of_split(_trusted(Monomial, ground=ground, coeff=_Q1, exps=exps), outer, *bounds)
             except RuntimeError:
                 failures.append((h, w, a, b))
     return checked, failures

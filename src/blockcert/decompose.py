@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from . import ring  # normal_form is looked up on the module, where perfbench/tracing.py wraps it
 from .combinatorics import (
@@ -76,29 +76,66 @@ class Certificate:
 # how the degree is spread over the pairs and not on the input coefficient.
 LABEL_LIMIT = 5
 
-# Most ``_decompose_entries`` calls one ``decompose`` makes, memo hits
-# included.  At n = 5, g = 2 and the bound, with the memo,
-# x[1,2]^8*x[2,3]^8*x[3,4]^7*x[4,5]^7*x[5,1]^7 makes 23,660 calls; 48 seeded
-# random monomials there make 928 to 389,094, with a median near 31,600; and
-# x[1,2]^37, the most measured, makes 1,197,599.
+# Most sub-problems one ``decompose`` solves, memo hits and two-label closed
+# forms included, so the counts are those of a recursion that calls itself
+# for every sub-problem.  At n = 5, g = 2 and the bound, with the memo,
+# x[1,2]^8*x[2,3]^8*x[3,4]^7*x[4,5]^7*x[5,1]^7 takes 23,660 items; 48 seeded
+# random monomials there take 928 to 389,094, with a median near 31,600; and
+# x[1,2]^37, the most measured, takes 1,197,599.
 CALL_LIMIT = 5_000_000
 
 Terms = dict[Exponents, int]
 Entries = dict[tuple[Label, ...], Terms]  # left part -> cofactor terms
 Memo = dict[tuple[tuple[Label, ...], Exponents], Entries]  # (labels, exponents) -> entries
+# (labels, pivot, outer left) -> (branch, inner left) -> (merged left, leftover pairs^(2g))
+Joins = dict[tuple, dict[tuple[str, tuple[Label, ...]], tuple[tuple[Label, ...], Exponents]]]
 
 
-def _base_entries(mono: Monomial, g: int) -> Entries:
-    """Closed form over two labels {u,v}: x[u,v]^a * x[v,u]^b with a+b >= 2g
-    becomes (-1)^b * x[u,v]^(a+b-2g) on the block {u} x {v}; the coefficient
-    of ``mono`` is left to the caller.  ``decompose``'s bound check (at the
-    top level) and the pivot and routing rules (below it) guarantee a+b >= 2g."""
-    u, v = mono.ground.elements
-    a = mono.exponent((u, v))
-    b = mono.exponent((v, u))
+class _Recursion(NamedTuple):
+    """What one ``decompose`` call shares across its recursion; it dies with the call."""
+
+    g: int
+    bounds: dict[int, int]  # label count k -> vanishing_bound(k, g), for 2 <= k < n
+    budget: Iterator[int]  # the work budget: CALL_LIMIT items, one per sub-problem
+    memo: Memo
+    joins: Joins
+
+    @classmethod
+    def start(cls, n: int, g: int) -> "_Recursion":
+        return cls(g, {k: vanishing_bound(k, g) for k in range(2, n)}, iter(range(CALL_LIMIT)), {}, {})
+
+
+def _solve(ground: IndexSet, exps: Exponents, run: _Recursion) -> Entries:
+    """Entries of the unit-coefficient monomial with ``exps`` over ``ground``.
+
+    Takes one item of ``run.budget``, shared by the whole recursion, and
+    raises SizeLimitError when it is empty.  Two labels are solved in place
+    by their closed form, with no Monomial and no call; three or more by
+    ``_decompose_entries``.
+    """
+    if next(run.budget, None) is None:
+        raise SizeLimitError(
+            f"decompose needs more than {CALL_LIMIT} recursive calls, above its work budget"
+        )
+    if len(ground.elements) == 2:
+        return _two_label_entries(*ground.elements, exps, run.g)
+    return _decompose_entries(_trusted(Monomial, ground=ground, coeff=_Q1, exps=exps), run)
+
+
+def _two_label_entries(u: Label, v: Label, exps: Exponents, g: int) -> Entries:
+    """Closed form over two labels u < v: x[u,v]^a * x[v,u]^b with a+b >= 2g
+    becomes (-1)^b * x[u,v]^(a+b-2g) on the block {u} x {v}.  ``exps`` holds
+    only those two pairs, and the coefficient is left to the caller.
+    ``decompose``'s bound check (at the top level) and the pivot and routing
+    rules (below it) guarantee a+b >= 2g."""
+    a = b = 0
+    for (i, _), e in exps:
+        if i == u:
+            a = e
+        else:
+            b = e
     residual = a + b - 2 * g
-    exps: Exponents = (((u, v), residual),) if residual else ()
-    return {(u,): {exps: -1 if b & 1 else 1}}
+    return {(u,): {(((u, v), residual),) if residual else (): -1 if b & 1 else 1}}
 
 
 def merge_blocks(outer: Block, inner: Block, ground: IndexSet,
@@ -138,70 +175,75 @@ def _add_product(acc: Terms, terms: Terms, factor: Exponents, scale: int = 1) ->
         acc[key] = acc.get(key, 0) + scale * coeff
 
 
-def _decompose_entries(mono: Monomial, g: int, budget: Iterator[int], memo: Memo) -> Entries:
+def _decompose_entries(mono: Monomial, run: _Recursion) -> Entries:
     """Nonzero certificate entries of the unit-coefficient monomial with the
-    exponents of ``mono``, with integer terms over its ground set.
+    exponents of ``mono``, over three or more labels, with integer terms over
+    its ground set.
 
     The recursion is linear in the coefficient, so it runs on unit-coefficient
     monomials, where every binomial, sign and closed form is an integer, and
     ``decompose`` applies the input's coefficient once.  Each entry over the
     ground set minus the pivot is lifted in two phases.  Phase 1 routes and
-    recurses, adding each inner cofactor term times its spare pairs and its
+    solves, adding each inner cofactor term times its spare pairs and its
     integer coefficient into a bucket per (branch, inner left part).  Phase 2
-    merges each bucket's block pair once and adds the bucket, times the
-    leftover pairs^(2g), into the merged block's entry.  Zero sums are dropped
-    at return.  Each call takes one item of ``budget``, shared by the whole
-    recursion, and raises SizeLimitError when it is empty.
+    adds each bucket, times its leftover pairs^(2g), into its merged block's
+    entry.  Zero sums are dropped at return.  Every sub-problem, the outer
+    one and each routed one, goes through ``_solve``, which takes its item of
+    the work budget.
 
-    ``memo`` holds the entries of every sub-monomial over three or more labels
-    solved so far in one ``decompose`` call, keyed on its labels and
-    exponents (``g`` is fixed within the call).  A hit still takes its item
-    of ``budget``, and it is looked up after the pivot choice and the split,
-    so every sub-problem still passes ``split_at``, where perfbench/tracing.py
-    counts repeats.  Callers only read the returned maps, so a hit returns
-    the stored one without a copy.
+    ``run`` lives for one ``decompose`` call, whose g it fixes, so neither
+    table below keys on g.  ``run.memo`` holds the entries of every
+    sub-monomial over three or more labels solved so far, keyed on its
+    labels and exponents.  A hit still takes its item of the budget, and it
+    is looked up after the pivot choice and the split, so every sub-problem
+    still passes ``split_at``, where perfbench/tracing.py counts repeats.
+    Callers only read the returned maps, so a hit returns the stored one
+    without a copy.  ``run.joins`` holds, per (labels, pivot, outer left
+    part) and (branch, inner left part), the merged block's left part with
+    the smallest label kept on the right, and the leftover pairs^(2g), so
+    ``merge_blocks`` runs once per block pair in the call.
     """
-    if next(budget, None) is None:
-        raise SizeLimitError(
-            f"decompose needs more than {CALL_LIMIT} recursive calls, above its work budget"
-        )
+    g, bounds, _, memo, joins = run
     ground = mono.ground
-    if len(ground) == 2:
-        return _base_entries(mono, g)
-
-    pivot = select_pivot(mono, g)
+    labels = ground.elements
+    pivot = select_pivot(mono, bounds[len(labels) - 1])
     touching, rest = split_at(mono, pivot)
-    key = (ground.elements, mono.exps)
+    key = (labels, mono.exps)
     if (solved := memo.get(key)) is not None:
         return solved
-    outer_ground = ground.without(pivot)
-    first = ground.min()
-    acc: Entries = {}
     # Below, every Monomial, Block and IndexSet is built from parts validated
     # at the top-level call, so none of them is checked again.
-    outer_mono = _trusted(Monomial, ground=outer_ground, coeff=_Q1, exps=rest.exps)
-    for outer_left, theta in _decompose_entries(outer_mono, g, budget, memo).items():
+    outer_ground = ground.without(pivot)
+    first = labels[0]
+    two_g = 2 * g
+    acc: Entries = {}
+    for outer_left, theta in _solve(outer_ground, rest.exps, run).items():
         outer_block = _trusted(Block, ground=outer_ground, left=outer_left)
+        outer_right = outer_block.right
+        left_bound, right_bound = bounds[len(outer_left) + 1], bounds[len(outer_right) + 1]
         sub_grounds = {side: _trusted(IndexSet, elements=tuple(sorted(part + (pivot,))))
-                       for side, part in (("H", outer_block.left), ("W", outer_block.right))}
+                       for side, part in (("H", outer_left), ("W", outer_right))}
         buckets: dict[tuple[str, tuple[Label, ...]], Terms] = {}  # (branch, inner left) -> terms
         for exps, coeff in theta.items():
             # lifted has coefficient one, so every term it rewrites to has an
             # integer coefficient and p.coeff.numerator below is exact
             lifted = _trusted(Monomial, ground=ground, coeff=_Q1, exps=_merge_exps(touching.exps, exps))
             for p in rewrite_to_base(lifted, pivot).terms:
-                side, chosen, spare = branch_of_split(p, outer_block, g)
+                side, chosen, spare = branch_of_split(p, outer_block, left_bound, right_bound)
                 # chosen reaches the bound of its side plus the pivot, checked by branch_of_split
-                selected = _trusted(Monomial, ground=sub_grounds[side], coeff=_Q1, exps=chosen)
                 scale = p.coeff.numerator * coeff
-                for inner_left, phi in _decompose_entries(selected, g, budget, memo).items():
+                for inner_left, phi in _solve(sub_grounds[side], chosen, run).items():
                     _add_product(buckets.setdefault((side, inner_left), {}), phi, spare, scale)
-        for (side, inner_left), terms in buckets.items():
-            inner_block = _trusted(Block, ground=sub_grounds[side], left=inner_left)
-            merged, leftover = merge_blocks(outer_block, inner_block, ground, side)
-            if first in merged.left:
-                merged = merged.transpose()
-            _add_product(acc.setdefault(merged.left, {}), terms, tuple((pair, 2 * g) for pair in leftover))
+        known = joins.setdefault((labels, pivot, outer_left), {})
+        for join_key, terms in buckets.items():
+            if (join := known.get(join_key)) is None:
+                side, inner_left = join_key
+                inner_block = _trusted(Block, ground=sub_grounds[side], left=inner_left)
+                merged, leftover = merge_blocks(outer_block, inner_block, ground, side)
+                join = known[join_key] = (merged.right if first in merged.left else merged.left,
+                                          tuple((pair, two_g) for pair in leftover))
+            merged_left, factor = join
+            _add_product(acc.setdefault(merged_left, {}), terms, factor)
     entries = {left: kept for left, terms in acc.items() if (kept := {e: c for e, c in terms.items() if c})}
     memo[key] = entries
     return entries
@@ -211,13 +253,14 @@ def decompose(mono: Monomial, g: int) -> Certificate:
     """Certificate expressing ``mono`` through block monomials, built recursively.
 
     Requires deg(mono) >= vanishing_bound(n, g) for the n labels of its
-    ground set, n <= LABEL_LIMIT and at most CALL_LIMIT recursive calls,
-    memo hits included (else SizeLimitError).  The recursion solves each
-    repeated sub-monomial once, through a memo that lives for this call
-    only.  Deterministic: pivots are the smallest qualifying
-    labels, branch ties prefer "H", and entries are aggregated per block with
-    the smallest label kept in the right part (two-label grounds keep the
-    closed form as is).
+    ground set, n <= LABEL_LIMIT and at most CALL_LIMIT items of work, one
+    per sub-problem solved, memo hits and two-label closed forms included
+    (else SizeLimitError).  The recursion solves each repeated sub-monomial
+    once, through a memo that lives for this call only, next to a table of
+    the block joins made in the call.  Deterministic: pivots are the
+    smallest qualifying labels, branch ties prefer "H", and entries are
+    aggregated per block with the smallest label kept in the right part
+    (two-label grounds keep the closed form as is).
     """
     if not isinstance(mono, Monomial):
         raise PreconditionError(f"decompose expects a monomial, got {type(mono).__name__}")
@@ -229,10 +272,11 @@ def decompose(mono: Monomial, g: int) -> Certificate:
         raise PreconditionError(
             f"degree {mono.degree} below the vanishing bound {bound} for n={n}, g={g}"
         )
-    entries = _decompose_entries(mono, g, iter(range(CALL_LIMIT)), {})
     ground, coeff = mono.ground, mono.coeff
+    entries = _solve(ground, mono.exps, _Recursion.start(n, g))
+    # the left parts come from the recursion, so the blocks are valid by construction
     return Certificate(ground, g, mono, tuple(
-        CertificateEntry(Block(ground, left),
+        CertificateEntry(_trusted(Block, ground=ground, left=left),
                          Polynomial.from_map(ground, {e: coeff * c for e, c in entries[left].items()}))
         for left in sorted(entries)
     ))

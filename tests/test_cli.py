@@ -498,7 +498,7 @@ def test_verify_keeps_block_forms_of_each_field_width(capsys, tmp_path):
 
 
 def test_cmd_decompose_work_budget_exits_3(capsys, monkeypatch):
-    # the n = 4 cycle makes 39 recursive calls, above a budget of 10
+    # the n = 4 cycle takes 39 items of the work budget, above a budget of 10
     monkeypatch.setattr(sys.modules["blockcert.decompose"], "CALL_LIMIT", 10)
     code, out, err = run_cli(capsys, "decompose", "--ground", "1,2,3,4", "--g", "2",
                              "x[1,2]^6*x[2,3]^6*x[3,4]^5*x[4,1]^5")

@@ -66,19 +66,23 @@ def test_enumerate_blocks_order_and_counts():
 
 # -- pivot selection -----------------------------------------------------------
 
+# select_pivot compares against the bound of one label fewer: 4 for three labels at g = 2
+REST_BOUND = vanishing_bound(2, 2)
+
+
 def test_select_pivot_examples():
-    assert select_pivot(Monomial.make(X3, 1, {(1, 2): 11}), 2) == 3
-    assert select_pivot(Monomial.make(X3, 1, {(1, 2): 4, (1, 3): 4, (2, 3): 3}), 2) == 2
+    assert select_pivot(Monomial.make(X3, 1, {(1, 2): 11}), REST_BOUND) == 3
+    assert select_pivot(Monomial.make(X3, 1, {(1, 2): 4, (1, 3): 4, (2, 3): 3}), REST_BOUND) == 2
 
 
 def test_select_pivot_counts_both_orientations():
     # avoiding 3 leaves x[1,2]^4 * x[2,1]^3, degree 7; avoiding 1 or 2 leaves degree 2
     m = Monomial.make(X3, 1, {(1, 2): 4, (2, 1): 3, (2, 3): 2, (3, 1): 2})
     assert [_degree_avoiding(m, z) for z in X3] == [2, 2, 7]
-    assert select_pivot(m, 2) == 3
+    assert select_pivot(m, REST_BOUND) == 3
     # 3 + 2 on the pair {1,2} reaches the bound 4 only with both orientations counted
     m = Monomial.make(X3, 1, {(1, 2): 3, (1, 3): 3, (2, 1): 2, (2, 3): 3})
-    assert select_pivot(m, 2) == 3
+    assert select_pivot(m, REST_BOUND) == 3
 
 
 def test_pivot_lemma_exhaustive_small():
@@ -129,14 +133,15 @@ def test_split_at_reconstructs():
 def test_branch_of_split_examples():
     # degree 7 = threshold for n=3, g=2, h=w=1; left side misses its bound of 4
     outer = Block(IndexSet((2, 3)), (2,))
+    bounds = vanishing_bound(2, 2), vanishing_bound(2, 2)
     m = Monomial.make(X3, 1, {(1, 2): 3, (1, 3): 4})
-    assert branch_of_split(m, outer, 2) == ("W", (((1, 3), 4),), (((1, 2), 3),))
+    assert branch_of_split(m, outer, *bounds) == ("W", (((1, 3), 4),), (((1, 2), 3),))
     # everything on the left side
     m = Monomial.make(X3, 1, {(1, 2): 7})
-    assert branch_of_split(m, outer, 2) == ("H", (((1, 2), 7),), ())
+    assert branch_of_split(m, outer, *bounds) == ("H", (((1, 2), 7),), ())
     # ties prefer H: 4 on the left meets the bound even with 3 on the right
     m = Monomial.make(X3, 1, {(1, 2): 4, (1, 3): 3})
-    assert branch_of_split(m, outer, 2).side == "H"
+    assert branch_of_split(m, outer, *bounds).side == "H"
 
 
 def test_branch_of_split_partitions_the_factors():
@@ -155,7 +160,8 @@ def test_branch_of_split_partitions_the_factors():
         degree = required + rng.randint(0, 3)
         spread = sample_composition(degree, n - 1, rng)
         m = Monomial.make(ground, 1, {(pivot, j): e for j, e in zip(sorted(others), spread)})
-        side, chosen, spare = branch_of_split(m, outer, g)
+        side, chosen, spare = branch_of_split(m, outer, vanishing_bound(h + 1, g),
+                                              vanishing_bound(n - h, g))
         assert tuple(sorted(chosen + spare)) == m.exps
         part = outer.left if side == "H" else outer.right
         assert all(j in part for (_, j), _ in chosen)
@@ -220,10 +226,10 @@ def test_split_lemma_reports_each_failing_case(monkeypatch):
     # the check runs branch_of_split itself, so a RuntimeError there is a failing case
     real = combinatorics.branch_of_split
 
-    def fails_once(mono, outer, g):
+    def fails_once(mono, outer, left_bound, right_bound):
         if mono.exps == (((1, 2), 3), ((1, 3), 4)):
             raise RuntimeError("neither side reaches its bound")
-        return real(mono, outer, g)
+        return real(mono, outer, left_bound, right_bound)
 
     monkeypatch.setattr(combinatorics, "branch_of_split", fails_once)
     # n = 3, g = 2: h = w = 1 and a + b = 7, so 8 cases

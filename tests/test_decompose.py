@@ -87,20 +87,27 @@ def test_decompose_two_labels_equals_closed_form():
 
 
 def test_base_certificate_matches_closed_formula_sweep():
+    # The recursion solves every two-label sub-problem in place with
+    # _two_label_entries.  Over either label order (the first factor leaves the
+    # smaller label or the larger) it must give decompose's two-label
+    # certificate, which is the closed formula.
+    dec = sys.modules["blockcert.decompose"]
+    lam = Fraction(7, 3)
     for g in (2, 3):
-        for total in range(2 * g, 2 * g + 4):
-            for a in range(total + 1):
-                b = total - a
-                lam = Fraction(7, 3)
-                mono = Monomial.make(X2, lam, {(1, 2): a, (2, 1): b})
-                cert = decompose(mono, g)
-                entry, = cert.entries
-                assert entry.block == Block(X2, (1,))
-                expected = Monomial.make(
-                    X2, lam * (-1) ** b, {(1, 2): total - 2 * g}
-                ).as_poly()
-                assert entry.cofactor == expected
-                assert verify_certificate(cert)
+        for p, q in ((1, 2), (2, 1), (2, 4), (4, 2)):
+            u, v = sorted((p, q))
+            ground = IndexSet((u, v))
+            for total in range(2 * g, 2 * g + 6):
+                for a in range(total + 1):
+                    mono = Monomial.make(ground, lam, {(p, q): a, (q, p): total - a})
+                    sign = (-1) ** mono.exponent((v, u))
+                    expected = Monomial.make(ground, lam * sign, {(u, v): total - 2 * g})
+                    cert = decompose(mono, g)
+                    entry, = cert.entries
+                    assert entry.block == Block(ground, (u,))
+                    assert entry.cofactor == expected.as_poly()
+                    assert dec._two_label_entries(u, v, mono.exps, g) == {(u,): {expected.exps: sign}}
+                    assert verify_certificate(cert)
 
 
 # -- merging blocks --------------------------------------------------------------
@@ -246,8 +253,8 @@ def test_decompose_entries_have_integer_coefficients():
     for n, g in ((3, 2), (4, 2)):
         mono = random_monomial(rng, standard_ground(n), vanishing_bound(n, g), unit_coeff=True)
         scaled = Monomial(mono.ground, Fraction(-3, 4), mono.exps)
-        entries = dec._decompose_entries(scaled, g, iter(range(dec.CALL_LIMIT)), {})
-        assert entries == dec._decompose_entries(mono, g, iter(range(dec.CALL_LIMIT)), {})
+        entries = dec._decompose_entries(scaled, dec._Recursion.start(n, g))
+        assert entries == dec._decompose_entries(mono, dec._Recursion.start(n, g))
         assert entries and all(type(c) is int for terms in entries.values() for c in terms.values())
 
 
@@ -276,56 +283,57 @@ def test_verify_accepts_n5_certificates_whose_terms_share_powers(seed):
     assert verify_certificate(decompose(mono, 2))
 
 
+def budget_taken(monkeypatch, mono, g):
+    """The certificate of ``mono`` and the items of the work budget its decompose took."""
+    dec = sys.modules["blockcert.decompose"]
+    runs = []
+    original = dec._decompose_entries
+
+    def recording(sub, run):
+        runs.append(run)
+        return original(sub, run)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(dec, "_decompose_entries", recording)
+        cert = decompose(mono, g)
+    assert runs and all(run is runs[0] for run in runs)
+    # the budget is iter(range(CALL_LIMIT)), so its next item is the count taken
+    return cert, next(runs[0].budget)
+
+
 def test_decompose_work_budget(monkeypatch):
     dec = sys.modules["blockcert.decompose"]
     mono = Monomial.make(X4, Fraction(-1, 2), {(1, 2): 6, (2, 3): 6, (3, 4): 5, (4, 1): 5})
-    calls = 0
-    original = dec._decompose_entries
-
-    def counting(*args):
-        nonlocal calls
-        calls += 1
-        return original(*args)
-
-    monkeypatch.setattr(dec, "_decompose_entries", counting)
-    expected = decompose(mono, 2)
-    monkeypatch.setattr(dec, "_decompose_entries", original)
-    assert calls > 1
-    # the budget counts the calls of one decompose: exactly enough passes, twice in a row
-    monkeypatch.setattr(dec, "CALL_LIMIT", calls)
+    expected, items = budget_taken(monkeypatch, mono, 2)
+    assert items > 1
+    # the budget counts the items of one decompose: exactly enough passes, twice in a row
+    monkeypatch.setattr(dec, "CALL_LIMIT", items)
     assert decompose(mono, 2) == expected
     assert decompose(mono, 2) == expected
-    monkeypatch.setattr(dec, "CALL_LIMIT", calls - 1)
+    monkeypatch.setattr(dec, "CALL_LIMIT", items - 1)
     with pytest.raises(SizeLimitError, match="work budget"):
         decompose(mono, 2)
 
 
 def test_decompose_memo_solves_each_repeated_sub_monomial_once(monkeypatch):
-    # every degree on one pair: without the memo the recursion makes 4,094 calls
-    dec = sys.modules["blockcert.decompose"]
+    # every degree on one pair: without the memo the recursion takes 4,094 items
     mono = Monomial.make(X4, 1, {(1, 2): 22})
-    calls = 0
-    original = dec._decompose_entries
-
-    def counting(*args):
-        nonlocal calls
-        calls += 1
-        return original(*args)
-
-    monkeypatch.setattr(dec, "_decompose_entries", counting)
-    decompose(mono, 2)
-    assert calls == 1360
+    assert budget_taken(monkeypatch, mono, 2)[1] == 1360
 
 
 def test_decompose_memo_lives_in_one_call():
-    # the memo key leaves g out, so a memo shared between calls would hand
-    # g = 2 entries to a g = 3 call of the same exponents, or back
-    mono = Monomial.make(X4, 1, {(1, 2): 10, (2, 3): 10, (3, 4): 7, (4, 1): 7})
-    fresh = {g: decompose(mono, g) for g in (2, 3)}
-    assert fresh[2].entries != fresh[3].entries
-    for g in (2, 3, 2, 3, 2):
-        cert = decompose(mono, g)
-        assert cert == fresh[g] and verify_certificate(cert)
+    # The memo key and the join key leave g out, so tables shared between calls
+    # would hand g = 2 entries to a g = 3 call of the same exponents, or the
+    # leftover pairs^(2g) of a g = 2 join to a g = 3 call of the same blocks, or
+    # back.  The cycle's calls share sub-monomials; those of x[1,2]^34 share
+    # joins that leave pairs over.
+    for exps in ({(1, 2): 10, (2, 3): 10, (3, 4): 7, (4, 1): 7}, {(1, 2): 34}):
+        mono = Monomial.make(X4, 1, exps)
+        fresh = {g: decompose(mono, g) for g in (2, 3)}
+        assert fresh[2].entries != fresh[3].entries
+        for g in (2, 3, 2, 3, 2):
+            cert = decompose(mono, g)
+            assert cert == fresh[g] and verify_certificate(cert)
 
 
 def test_decompose_rejects_non_monomial():
