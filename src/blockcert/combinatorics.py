@@ -1,10 +1,11 @@
 """Blocks of a ground set, pivot selection, monomial splits, and the lemma checks.
 
 A block is an ordered bipartition (left, right) of the ground set; its pairs
-are left x right.  The decomposition driver picks a pivot label whose removal
-keeps enough degree among the remaining labels, splits monomials accordingly,
-and routes base-variable monomials to one side of a block by a two-sided
-degree dichotomy.  Everything here is deterministic and exact.
+are left x right.  The decomposition picks a pivot label whose removal keeps
+enough degree among the remaining labels, splits a monomial's exponents into
+the pairs that touch the pivot and the rest, and routes base-variable
+monomials to one side of a block by a two-sided degree dichotomy.  Everything
+here is deterministic and exact.
 
 ``Block``, ``enumerate_blocks``, ``vanishing_bound`` and the lemma checks are
 exported and check their arguments.  The steps ``select_pivot``, ``split_at``
@@ -46,7 +47,7 @@ class Block:
     left: tuple[Label, ...]
 
     def __post_init__(self):
-        left = IndexSet(tuple(self.left)).elements  # integer labels, strictly ascending
+        left = IndexSet(self.left).elements  # integer labels, strictly ascending
         object.__setattr__(self, "left", left)
         if not left or len(left) >= len(self.ground):
             raise PreconditionError(f"left part must be a proper nonempty subset, got {left}")
@@ -103,18 +104,14 @@ def select_pivot(mono: Monomial, required_rest: int) -> Label:
     raise RuntimeError("internal consistency failure: no qualifying pivot exists")
 
 
-def split_at(mono: Monomial, pivot: Label) -> tuple[Monomial, Monomial]:
-    """Factor a monomial as (touching, rest) across a pivot label.
+def split_at(mono: Monomial, pivot: Label) -> tuple[Exponents, Exponents]:
+    """Split the exponents of a monomial as (touching, rest) across a pivot label.
 
-    ``touching`` collects every factor x[i,pivot] or x[pivot,j] and carries the
-    coefficient; ``rest`` has coefficient one.  Their product is ``mono``.
+    ``touching`` holds every factor x[i,pivot] or x[pivot,j], ``rest`` the
+    others, both in ascending pair order; the coefficient is dropped.
     """
-    touching = tuple(item for item in mono.exps if pivot in item[0])
-    rest = tuple(item for item in mono.exps if pivot not in item[0])
-    return (
-        _trusted(Monomial, ground=mono.ground, coeff=mono.coeff, exps=touching),
-        _trusted(Monomial, ground=mono.ground, coeff=_Q1, exps=rest),
-    )
+    return (tuple(item for item in mono.exps if pivot in item[0]),
+            tuple(item for item in mono.exps if pivot not in item[0]))
 
 
 class BranchChoice(NamedTuple):

@@ -76,12 +76,11 @@ class Certificate:
 # how the degree is spread over the pairs and not on the input coefficient.
 LABEL_LIMIT = 5
 
-# Most sub-problems one ``decompose`` solves, memo hits and two-label closed
-# forms included, so the counts are those of a recursion that calls itself
-# for every sub-problem.  At n = 5, g = 2 and the bound, with the memo,
-# x[1,2]^8*x[2,3]^8*x[3,4]^7*x[4,5]^7*x[5,1]^7 takes 23,660 items; 48 seeded
-# random monomials there take 928 to 389,094, with a median near 31,600; and
-# x[1,2]^37, the most measured, takes 1,197,599.
+# Most sub-problems (``_solve`` calls) one ``decompose`` solves, memo hits and
+# two-label closed forms included.  At n = 5, g = 2 and the bound, with the
+# memo, x[1,2]^8*x[2,3]^8*x[3,4]^7*x[4,5]^7*x[5,1]^7 takes 23,660 items; 48
+# seeded random monomials there take 928 to 389,094, with a median near
+# 31,600; and x[1,2]^37, the most measured, takes 1,197,599.
 CALL_LIMIT = 5_000_000
 
 Terms = dict[Exponents, int]
@@ -103,23 +102,6 @@ class _Recursion(NamedTuple):
     @classmethod
     def start(cls, n: int, g: int) -> "_Recursion":
         return cls(g, {k: vanishing_bound(k, g) for k in range(2, n)}, iter(range(CALL_LIMIT)), {}, {})
-
-
-def _solve(ground: IndexSet, exps: Exponents, run: _Recursion) -> Entries:
-    """Entries of the unit-coefficient monomial with ``exps`` over ``ground``.
-
-    Takes one item of ``run.budget``, shared by the whole recursion, and
-    raises SizeLimitError when it is empty.  Two labels are solved in place
-    by their closed form, with no Monomial and no call; three or more by
-    ``_decompose_entries``.
-    """
-    if next(run.budget, None) is None:
-        raise SizeLimitError(
-            f"decompose needs more than {CALL_LIMIT} recursive calls, above its work budget"
-        )
-    if len(ground.elements) == 2:
-        return _two_label_entries(*ground.elements, exps, run.g)
-    return _decompose_entries(_trusted(Monomial, ground=ground, coeff=_Q1, exps=exps), run)
 
 
 def _two_label_entries(u: Label, v: Label, exps: Exponents, g: int) -> Entries:
@@ -148,8 +130,7 @@ def merge_blocks(outer: Block, inner: Block, ground: IndexSet,
     block A x (B + z) merges into A x (R + B + z), leaving B x R over; on W the
     inner block (C + z) x D merges into (L + C + z) x D, leaving L x C over.
     Returns the merged block over the full ground set and the leftover pairs
-    in ascending order.  The shapes are not checked: ``_decompose_entries``
-    builds them.
+    in ascending order.  The shapes are not checked: ``_solve`` builds them.
     """
     (pivot,) = set(inner.ground) - set(outer.ground)
     if branch == "H":
@@ -175,21 +156,21 @@ def _add_product(acc: Terms, terms: Terms, factor: Exponents, scale: int = 1) ->
         acc[key] = acc.get(key, 0) + scale * coeff
 
 
-def _decompose_entries(mono: Monomial, run: _Recursion) -> Entries:
-    """Nonzero certificate entries of the unit-coefficient monomial with the
-    exponents of ``mono``, over three or more labels, with integer terms over
-    its ground set.
+def _solve(ground: IndexSet, exps: Exponents, run: _Recursion) -> Entries:
+    """Nonzero certificate entries of the unit-coefficient monomial with
+    ``exps`` over ``ground``, with integer terms over that ground set.
 
-    The recursion is linear in the coefficient, so it runs on unit-coefficient
-    monomials, where every binomial, sign and closed form is an integer, and
-    ``decompose`` applies the input's coefficient once.  Each entry over the
-    ground set minus the pivot is lifted in two phases.  Phase 1 routes and
-    solves, adding each inner cofactor term times its spare pairs and its
-    integer coefficient into a bucket per (branch, inner left part).  Phase 2
-    adds each bucket, times its leftover pairs^(2g), into its merged block's
-    entry.  Zero sums are dropped at return.  Every sub-problem, the outer
-    one and each routed one, goes through ``_solve``, which takes its item of
-    the work budget.
+    Takes one item of ``run.budget``, shared by the whole recursion, and
+    raises SizeLimitError when it is empty.  Two labels are solved in place
+    by their closed form.  The recursion is linear in the coefficient, so it
+    runs on unit-coefficient monomials, where every binomial, sign and closed
+    form is an integer, and ``decompose`` applies the input's coefficient
+    once.  Over three or more labels, each entry over the ground set minus
+    the pivot is lifted in two phases.  Phase 1 routes and solves, adding
+    each inner cofactor term times its spare pairs and its integer
+    coefficient into a bucket per (branch, inner left part).  Phase 2 adds
+    each bucket, times its leftover pairs^(2g), into its merged block's
+    entry.  Zero sums are dropped at return.
 
     ``run`` lives for one ``decompose`` call, whose g it fixes, so neither
     table below keys on g.  ``run.memo`` holds the entries of every
@@ -203,31 +184,36 @@ def _decompose_entries(mono: Monomial, run: _Recursion) -> Entries:
     the smallest label kept on the right, and the leftover pairs^(2g), so
     ``merge_blocks`` runs once per block pair in the call.
     """
-    g, bounds, _, memo, joins = run
-    ground = mono.ground
+    if next(run.budget, None) is None:
+        raise SizeLimitError(f"decompose needs more than {CALL_LIMIT} steps, above its work budget")
     labels = ground.elements
+    if len(labels) == 2:
+        return _two_label_entries(*labels, exps, run.g)
+    g, bounds, _, memo, joins = run
+    # Below, every Monomial, Block and IndexSet is built from parts validated
+    # at the top-level call, so none of them is checked again.  The one
+    # Monomial is what the select_pivot and split_at seams read.
+    mono = _trusted(Monomial, ground=ground, coeff=_Q1, exps=exps)
     pivot = select_pivot(mono, bounds[len(labels) - 1])
     touching, rest = split_at(mono, pivot)
-    key = (labels, mono.exps)
+    key = (labels, exps)
     if (solved := memo.get(key)) is not None:
         return solved
-    # Below, every Monomial, Block and IndexSet is built from parts validated
-    # at the top-level call, so none of them is checked again.
     outer_ground = ground.without(pivot)
     first = labels[0]
     two_g = 2 * g
     acc: Entries = {}
-    for outer_left, theta in _solve(outer_ground, rest.exps, run).items():
+    for outer_left, theta in _solve(outer_ground, rest, run).items():
         outer_block = _trusted(Block, ground=outer_ground, left=outer_left)
         outer_right = outer_block.right
         left_bound, right_bound = bounds[len(outer_left) + 1], bounds[len(outer_right) + 1]
         sub_grounds = {side: _trusted(IndexSet, elements=tuple(sorted(part + (pivot,))))
                        for side, part in (("H", outer_left), ("W", outer_right))}
         buckets: dict[tuple[str, tuple[Label, ...]], Terms] = {}  # (branch, inner left) -> terms
-        for exps, coeff in theta.items():
+        for term, coeff in theta.items():
             # lifted has coefficient one, so every term it rewrites to has an
             # integer coefficient and p.coeff.numerator below is exact
-            lifted = _trusted(Monomial, ground=ground, coeff=_Q1, exps=_merge_exps(touching.exps, exps))
+            lifted = _trusted(Monomial, ground=ground, coeff=_Q1, exps=_merge_exps(touching, term))
             for p in rewrite_to_base(lifted, pivot).terms:
                 side, chosen, spare = branch_of_split(p, outer_block, left_bound, right_bound)
                 # chosen reaches the bound of its side plus the pivot, checked by branch_of_split

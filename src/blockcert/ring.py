@@ -57,7 +57,10 @@ class IndexSet:
     elements: tuple[Label, ...]
 
     def __post_init__(self):
-        elems = tuple(self.elements)
+        try:
+            elems = tuple(self.elements)
+        except TypeError:
+            raise PreconditionError(f"labels must be a sequence of integers, got {self.elements!r}") from None
         object.__setattr__(self, "elements", elems)
         for lab in elems:
             if type(lab) is not int or lab < 0:  # exactly int: bool and float are refused
@@ -168,8 +171,12 @@ class Monomial:
     @classmethod
     def make(cls, ground: IndexSet, coeff, exps: Mapping[Pair, int] | Iterable = ()) -> "Monomial":
         items = exps.items() if isinstance(exps, Mapping) else exps
-        kept = (((i, j), e) for (i, j), e in items if e != 0 or type(e) is not int)  # drops int zeros only
-        return cls(ground, coeff, tuple(sorted(kept)))
+        try:
+            # drops int zeros only
+            kept = tuple(sorted(((i, j), e) for (i, j), e in items if e != 0 or type(e) is not int))
+        except (TypeError, ValueError):
+            raise PreconditionError(f"monomial exps must map pairs (i, j) to exponents, got {exps!r}") from None
+        return cls(ground, coeff, kept)
 
     @property
     def degree(self) -> int:

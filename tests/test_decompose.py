@@ -252,9 +252,7 @@ def test_decompose_entries_have_integer_coefficients():
     rng = random.Random(27)
     for n, g in ((3, 2), (4, 2)):
         mono = random_monomial(rng, standard_ground(n), vanishing_bound(n, g), unit_coeff=True)
-        scaled = Monomial(mono.ground, Fraction(-3, 4), mono.exps)
-        entries = dec._decompose_entries(scaled, dec._Recursion.start(n, g))
-        assert entries == dec._decompose_entries(mono, dec._Recursion.start(n, g))
+        entries = dec._solve(mono.ground, mono.exps, dec._Recursion.start(n, g))
         assert entries and all(type(c) is int for terms in entries.values() for c in terms.values())
 
 
@@ -287,14 +285,14 @@ def budget_taken(monkeypatch, mono, g):
     """The certificate of ``mono`` and the items of the work budget its decompose took."""
     dec = sys.modules["blockcert.decompose"]
     runs = []
-    original = dec._decompose_entries
+    original = dec._solve
 
-    def recording(sub, run):
+    def recording(ground, exps, run):
         runs.append(run)
-        return original(sub, run)
+        return original(ground, exps, run)
 
     with monkeypatch.context() as patch:
-        patch.setattr(dec, "_decompose_entries", recording)
+        patch.setattr(dec, "_solve", recording)
         cert = decompose(mono, g)
     assert runs and all(run is runs[0] for run in runs)
     # the budget is iter(range(CALL_LIMIT)), so its next item is the count taken
@@ -311,7 +309,7 @@ def test_decompose_work_budget(monkeypatch):
     assert decompose(mono, 2) == expected
     assert decompose(mono, 2) == expected
     monkeypatch.setattr(dec, "CALL_LIMIT", items - 1)
-    with pytest.raises(SizeLimitError, match="work budget"):
+    with pytest.raises(SizeLimitError, match=f"more than {items - 1} steps, above its work budget"):
         decompose(mono, 2)
 
 
@@ -538,6 +536,9 @@ def test_derived_values_are_valid(monkeypatch):
             seen["normal_form"].append(((p,), normal_form(p)))
             seen["split_at"] += [((mono,), split_at(mono, pivot)) for pivot in ground]
     assert all(seen.values())
+    for args, parts in seen["split_at"]:
+        for part in parts:
+            Monomial(args[0].ground, 1, part)  # split_at returns exponents; the constructor checks them
     for calls in seen.values():
         for args, result in calls:
             assert_valid(args)

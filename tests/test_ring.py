@@ -8,6 +8,7 @@ import random
 import pytest
 
 from blockcert import (
+    Block,
     GroundMismatchError,
     IndexSet,
     Monomial,
@@ -40,6 +41,10 @@ def test_index_set_validation():
         IndexSet((1, 1, 2))
     with pytest.raises(PreconditionError):
         IndexSet((-1, 2))
+    # a value that is not a sequence of labels, also as a block's left part
+    for build in (lambda: IndexSet(5), lambda: IndexSet(None), lambda: Block(X3, 5)):
+        with pytest.raises(PreconditionError, match="sequence"):
+            build()
 
 
 def test_index_set_subsets():
@@ -88,6 +93,10 @@ def test_monomial_validation():
     for exps in (((1, 2),), (((1, 2), 3, 4),), (((1, 2, 3), 1),)):
         with pytest.raises(PreconditionError, match="pairs"):
             Monomial(X3, 1, exps)
+    # make reads every item as a pair (i, j) and an exponent before it sorts them
+    for exps in ({(1, 2, 3): 1}, [((1, 2), 1), 5], {(1, 2): 1, ("a", 2): 1}):
+        with pytest.raises(PreconditionError, match="pairs"):
+            Monomial.make(X3, 1, exps)
     assert Monomial(X3, 2).coeff == Fraction(2) and type(Monomial(X3, 2).coeff) is Fraction
 
 
