@@ -20,7 +20,6 @@ import json
 import re
 import sys
 from fractions import Fraction
-from operator import itemgetter
 from typing import Sequence
 
 from .combinatorics import Block, enumerate_blocks, pivot_lemma_check, split_lemma_check, vanishing_bound
@@ -28,7 +27,7 @@ from .decompose import Certificate, CertificateEntry, decompose, verify_certific
 from .errors import MalformedCertificateError, ParseError, PreconditionError, SizeLimitError
 from .hilbert import GradedReport, graded_report
 from .ring import (
-    Exponents, IndexSet, Monomial, Polynomial, _require_ring_ground, _trusted, eq_mod_relations, normal_form,
+    Exponents, IndexSet, Monomial, Polynomial, _require_ground, _sorted_poly, _trusted, eq_mod_relations, normal_form,
 )
 
 
@@ -102,8 +101,9 @@ def parse_poly(text: str, ground: IndexSet) -> Polynomial:
     """Parse polynomial text over an explicit ground set into canonical form.
 
     Checks run in reading order, so the first defect in the text is the one
-    reported, at its position.
+    reported, at its position; the label count of ``ground`` is judged last.
     """
+    _require_ground(ground, 0)
     labels = ground.elements
     acc: dict[Exponents, int | Fraction] = {}
     head = _HEAD.match(text)
@@ -132,11 +132,9 @@ def parse_poly(text: str, ground: IndexSet) -> Polynomial:
         if pos == len(text):
             # _read_factors has checked every label, index pair and exponent and
             # sorted the pairs, so no Monomial is checked again
-            _require_ring_ground(ground)
-            terms = [_trusted(Monomial, ground=ground, coeff=Fraction(c) if type(c) is int else c, exps=exps)
-                     for exps, c in acc.items() if c]
-            terms.sort(key=Monomial.sort_key)  # distinct exps, so distinct keys: strictly sorted
-            return _trusted(Polynomial, ground=ground, terms=tuple(terms))
+            return _sorted_poly(ground, [
+                _trusted(Monomial, ground=ground, coeff=Fraction(c) if type(c) is int else c, exps=exps)
+                for exps, c in acc.items() if c])
         if text[pos] not in "+-":
             raise _syntax_error(text, pos, None)
         head = _HEAD.match(text, pos)
@@ -206,8 +204,7 @@ def poly_from_json(obj, ground: IndexSet) -> Polynomial:
     Terms may come in any order, but no two may have the same exponents.
     """
     try:
-        _require_ring_ground(ground)  # a polynomial with no terms has no Monomial to check it
-        keyed = []
+        monos = []
         (terms,) = _json_fields(obj, ("terms",), "polynomial")
         for term in terms:
             coeff, raw_exps = _json_fields(term, ("coeff", "exps"), "term")
@@ -216,13 +213,12 @@ def poly_from_json(obj, ground: IndexSet) -> Polynomial:
                 raise MalformedCertificateError(f"coefficient must be a string p or p/q, got {coeff!r}")
             num, den = parts.groups()
             value = int(num) if den is None else Fraction(int(num), int(den))
-            mono = Monomial(ground, value, tuple([((i, j), e) for (i, j), e in raw_exps]))
-            keyed.append((mono.sort_key(), mono))
-        keyed.sort(key=itemgetter(0))
-        for (key, mono), (next_key, _) in zip(keyed, keyed[1:]):
-            if key == next_key:
+            monos.append(Monomial(ground, value, tuple([((i, j), e) for (i, j), e in raw_exps])))
+        poly = _sorted_poly(ground, monos)  # equal exps sort next to each other
+        for mono, after in zip(poly.terms, poly.terms[1:]):
+            if mono.exps == after.exps:
                 raise MalformedCertificateError(f"repeated exps {list(mono.exps)} in a polynomial object")
-        return _trusted(Polynomial, ground=ground, terms=tuple([mono for _, mono in keyed]))
+        return poly
     except MalformedCertificateError:
         raise
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:

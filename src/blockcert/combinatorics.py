@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple
 
 from .errors import PreconditionError, SizeLimitError
-from .ring import Exponents, IndexSet, Label, Monomial, Pair, _Q1, _trusted
+from .ring import Exponents, IndexSet, Label, Monomial, Pair, _Q1, _require_ground, _trusted
 
 
 def _require_g(g: int) -> None:
@@ -47,6 +47,7 @@ class Block:
     left: tuple[Label, ...]
 
     def __post_init__(self):
+        _require_ground(self.ground)
         left = IndexSet(self.left).elements  # integer labels, strictly ascending
         object.__setattr__(self, "left", left)
         if not left or len(left) >= len(self.ground):
@@ -74,10 +75,9 @@ class Block:
 
 def enumerate_blocks(ground: IndexSet) -> list[Block]:
     """All 2^n - 2 blocks, left parts listed in binary subset order."""
+    _require_ground(ground)
     labels = ground.elements
     n = len(labels)
-    if n < 2:
-        raise PreconditionError(f"block enumeration needs at least 2 labels, got {labels}")
     out = []
     for mask in range(1, (1 << n) - 1):
         left = tuple(labels[k] for k in range(n) if mask >> k & 1)
@@ -204,9 +204,8 @@ def pivot_lemma_check(ground: IndexSet, g: int, samples: int = 0,
     should always be empty.
     """
     _require_g(g)
+    _require_ground(ground, 3)
     n = len(ground)
-    if n < 3:
-        raise PreconditionError(f"pivot check needs at least 3 labels, got {n}")
     labels = ground.elements
     keys = [(labels[a], labels[b]) for a in range(n) for b in range(a + 1, n)]
     total = vanishing_bound(n, g)
@@ -247,9 +246,8 @@ def split_lemma_check(ground: IndexSet, g: int) -> tuple[int, list[tuple[int, ..
     tuples).
     """
     _require_g(g)
+    _require_ground(ground, 3)
     n = len(ground)
-    if n < 3:
-        raise PreconditionError(f"split check needs at least 3 labels, got {n}")
     pivot = ground.min()
     rest = ground.without(pivot)
     thresholds = {h: vanishing_bound(n, g) - 2 * g * (n - 1 - h) * h for h in range(1, n - 1)}

@@ -22,7 +22,7 @@ from typing import Iterable, Sequence
 
 from .combinatorics import _require_g, enumerate_blocks
 from .errors import PreconditionError, SizeLimitError
-from .ring import IndexSet, Polynomial, _BaseKeys, _common_denominator, normal_form
+from .ring import IndexSet, Polynomial, _BaseKeys, _common_denominator, _require_ground, normal_form
 
 SIZE_LIMIT = 1_000_000  # rows x columns of one slice's matrix
 
@@ -104,7 +104,8 @@ class IntRowSpace:
 
 def _require_scope(ground: IndexSet, g: int, d: int) -> None:
     _require_g(g)
-    if len(ground) not in (2, 3, 4):
+    _require_ground(ground)
+    if len(ground) > 4:
         raise PreconditionError(f"graded-dimension scope covers 2 to 4 labels, got {len(ground)}")
     if g not in (2, 3):
         raise PreconditionError(f"graded-dimension scope covers g in {{2, 3}}, got {g}")

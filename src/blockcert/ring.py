@@ -89,9 +89,12 @@ class IndexSet:
         return _trusted(IndexSet, elements=tuple(e for e in self.elements if e != label))
 
 
-def _require_ring_ground(ground: IndexSet) -> None:
-    if len(ground) < 2:
-        raise PreconditionError(f"ring operations need at least 2 labels, got {ground.elements}")
+def _require_ground(ground: IndexSet, least: int = 2) -> None:
+    """The one check of a ground set: an ``IndexSet`` of at least ``least`` labels."""
+    if not isinstance(ground, IndexSet):
+        raise PreconditionError(f"ground set must be an IndexSet, got {ground!r}")
+    if len(ground) < least:
+        raise PreconditionError(f"need at least {least} labels, got {ground.elements}")
 
 
 def _merge_exps(a: Exponents, b: Exponents) -> Exponents:
@@ -133,6 +136,7 @@ class Monomial:
     exps: Exponents = ()
 
     def __post_init__(self):
+        _require_ground(self.ground)
         if type(self.coeff) is int:
             object.__setattr__(self, "coeff", Fraction(self.coeff))
         elif not isinstance(self.coeff, Fraction):
@@ -146,7 +150,6 @@ class Monomial:
             hash(self.exps)
         except TypeError:
             raise PreconditionError(f"monomial exps must hold tuples only, got {self.exps!r}") from None
-        _require_ring_ground(self.ground)
         labels = self.ground.elements
         prev = None
         for item in self.exps:
@@ -214,7 +217,7 @@ class Polynomial:
     def __post_init__(self):
         if type(self.terms) is not tuple:
             raise PreconditionError(f"polynomial terms must be a tuple, got {type(self.terms).__name__}")
-        _require_ring_ground(self.ground)
+        _require_ground(self.ground)
         prev = None
         for t in self.terms:
             if t.ground != self.ground:
@@ -239,11 +242,10 @@ class Polynomial:
     @classmethod
     def from_map(cls, ground: IndexSet, mapping: Mapping[Exponents, int | Fraction]) -> "Polynomial":
         """Build from an exponents -> coefficient map; int and Fraction zeros are dropped, Monomial judges the rest."""
-        _require_ring_ground(ground)
-        terms = [Monomial(ground, c, exps) for exps, c in mapping.items()
-                 if c != 0 or (type(c) is not int and not isinstance(c, Fraction))]
-        terms.sort(key=Monomial.sort_key)  # distinct exps, so distinct keys: strictly sorted
-        return _trusted(cls, ground=ground, terms=tuple(terms))
+        if not isinstance(mapping, Mapping):
+            raise PreconditionError(f"expected a mapping of exponents to coefficients, got {type(mapping).__name__}")
+        return _sorted_poly(ground, [Monomial(ground, c, exps) for exps, c in mapping.items()
+                                     if c != 0 or (type(c) is not int and not isinstance(c, Fraction))])
 
     @property
     def is_zero(self) -> bool:
@@ -292,6 +294,12 @@ class Polynomial:
         return Polynomial.from_map(self.ground, acc)
 
 
+def _sorted_poly(ground: IndexSet, terms: Iterable[Monomial]) -> Polynomial:
+    """The canonical polynomial of valid monomials over ``ground`` with distinct exps: sorted, not checked again."""
+    _require_ground(ground)
+    return _trusted(Polynomial, ground=ground, terms=tuple(sorted(terms, key=Monomial.sort_key)))
+
+
 def _common_denominator(terms: Iterable[Monomial]) -> int:
     """The lcm of the coefficient denominators of ``terms``: times it, every coefficient is an integer."""
     return math.lcm(*(t.coeff.denominator for t in terms))
@@ -322,12 +330,11 @@ class _BaseKeys:
                 shift -= bits
                 units[lab] = 1 << shift
 
-    def expand(self, terms: Iterable[Monomial], scale: int, acc: dict[int, int]) -> None:
-        """Add ``scale`` times the sum of ``terms``, in the base variables, into ``acc``.
+    def expand(self, terms: Iterable[Monomial], scale: int) -> dict[int, int]:
+        """``scale`` times the sum of ``terms``, in the base variables: packed key -> nonzero coefficient.
 
         ``scale`` is a multiple of every coefficient's denominator, so the
-        whole expansion is integer multiply-adds; a negative ``scale``
-        subtracts.  Sums that cancel leave ``acc``.
+        whole expansion is integer multiply-adds.
 
         Each term is folded once, both orientations of a pair into one power
         x[i,j]^e off the base label, and the terms are grouped by the powers
@@ -397,12 +404,7 @@ class _BaseKeys:
                     for bc, offset in row:
                         at = key + offset
                         nxt[at] = nxt.get(at, 0) + c * bc
-        for key, c in levels[0].get((), {}).items():
-            total = acc.get(key, 0) + c
-            if total:
-                acc[key] = total
-            else:
-                acc.pop(key, None)
+        return {key: c for key, c in levels[0].get((), {}).items() if c}
 
     def block(self, pairs: tuple[Pair, ...], power: int) -> Mapping[int, int]:
         """The expansion of the product of x[i,j]^power over ``pairs``, read-only: it is shared."""
@@ -471,9 +473,8 @@ _SMALL_ROWS = tuple(_signed_binomials(e) for e in range(64))
 def _block_form(ground: IndexSet, base: Label, bits: int, pairs: tuple[Pair, ...], power: int) -> Mapping[int, int]:
     """``_BaseKeys.block``, expanded once per key; a form above the budget raises and is not kept."""
     term = _trusted(Monomial, ground=ground, coeff=_Q1, exps=tuple((pair, power) for pair in pairs))
-    acc: dict[int, int] = {}
-    _BaseKeys(ground, base, (1 << bits) - 1).expand((term,), 1, acc)  # the degree whose fields are bits wide
-    return MappingProxyType(acc)
+    keys = _BaseKeys(ground, base, (1 << bits) - 1)  # the degree whose fields are bits wide
+    return MappingProxyType(keys.expand((term,), 1))
 
 
 def _to_base(ground: IndexSet, terms: tuple[Monomial, ...], base: Label) -> Polynomial:
@@ -487,9 +488,7 @@ def _to_base(ground: IndexSet, terms: tuple[Monomial, ...], base: Label) -> Poly
     """
     keys = _BaseKeys(ground, base, max((t.degree for t in terms), default=0))
     scale = _common_denominator(terms)
-    acc: dict[int, int] = {}
-    keys.expand(terms, scale, acc)
-    return keys.to_poly(acc, scale)
+    return keys.to_poly(keys.expand(terms, scale), scale)
 
 
 def rewrite_to_base(mono: Monomial, base: Label) -> Polynomial:

@@ -11,14 +11,21 @@ from blockcert import (
     Block,
     GroundMismatchError,
     IndexSet,
+    MalformedCertificateError,
     Monomial,
     Polynomial,
     PreconditionError,
     SizeLimitError,
+    block_ideal_slice,
+    enumerate_blocks,
     eq_mod_relations,
+    graded_report,
     normal_form,
     parse_poly,
+    pivot_lemma_check,
+    poly_from_json,
     rewrite_to_base,
+    split_lemma_check,
 )
 from blockcert.ring import _BaseKeys, _block_form
 from helpers import eval_at, random_monomial, random_point, random_poly, relation_generators, standard_ground, sum_of
@@ -98,6 +105,33 @@ def test_monomial_validation():
         with pytest.raises(PreconditionError, match="pairs"):
             Monomial.make(X3, 1, exps)
     assert Monomial(X3, 2).coeff == Fraction(2) and type(Monomial(X3, 2).coeff) is Fraction
+
+
+def test_every_ground_is_checked():
+    # a ground that is not an IndexSet is refused, never met with a bare TypeError or AttributeError
+    def uses(ground):
+        return (lambda: Monomial(ground, 1), lambda: Monomial.make(ground, 1, {}),
+                lambda: Polynomial(ground, ()), lambda: Polynomial.from_map(ground, {}),
+                lambda: Block(ground, (1,)), lambda: enumerate_blocks(ground),
+                lambda: pivot_lemma_check(ground, 2), lambda: split_lemma_check(ground, 2),
+                lambda: block_ideal_slice(ground, 2, 5), lambda: graded_report(ground, 2, [5]),
+                lambda: parse_poly("x[1,2]", ground))
+    for ground in (5, (1, 2, 3)):
+        for use in uses(ground):
+            with pytest.raises(PreconditionError, match="IndexSet"):
+                use()
+        # poly_from_json reports a bad ground as it reports its other defects
+        for obj in ({"terms": []}, {"terms": [{"coeff": "1", "exps": [[[1, 2], 1]]}]}):
+            with pytest.raises(MalformedCertificateError):
+                poly_from_json(obj, ground)
+    with pytest.raises(PreconditionError, match="mapping"):
+        Polynomial.from_map(X3, 5)
+    # too few labels: two for the ring and blocks, three for the lemma checks
+    for use in (lambda: Polynomial(IndexSet((1,)), ()), lambda: enumerate_blocks(IndexSet((1,))),
+                lambda: block_ideal_slice(IndexSet((1,)), 2, 5), lambda: parse_poly("3", IndexSet((1,))),
+                lambda: pivot_lemma_check(X2, 2), lambda: split_lemma_check(X2, 2)):
+        with pytest.raises(PreconditionError, match="at least"):
+            use()
 
 
 def test_canonical_term_order():
