@@ -27,7 +27,8 @@ from .decompose import Certificate, CertificateEntry, decompose, verify_certific
 from .errors import MalformedCertificateError, ParseError, PreconditionError, SizeLimitError
 from .hilbert import GradedReport, graded_report
 from .ring import (
-    Exponents, IndexSet, Monomial, Polynomial, _require_ground, _sorted_poly, _trusted, eq_mod_relations, normal_form,
+    Exponents, IndexSet, Monomial, Polynomial, _check_term, _require_ground, _sorted_poly, _trusted, eq_mod_relations,
+    normal_form,
 )
 
 
@@ -175,13 +176,12 @@ def poly_to_str(p: Polynomial) -> str:
 # ---------------------------------------------------------------------------
 # JSON format
 
+def _term_to_json(t: Monomial) -> dict:
+    return {"coeff": _number_text(t.coeff), "exps": [[[i, j], e] for (i, j), e in t.exps]}
+
+
 def poly_to_json(p: Polynomial) -> dict:
-    return {
-        "terms": [
-            {"coeff": _number_text(t.coeff), "exps": [[[i, j], e] for (i, j), e in t.exps]}
-            for t in p.terms
-        ]
-    }
+    return {"terms": [_term_to_json(t) for t in p.terms]}
 
 
 _JSON_COEFF = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
@@ -202,8 +202,12 @@ def poly_from_json(obj, ground: IndexSet) -> Polynomial:
     """Read a polynomial object; keys, labels, exponents and coefficients are checked, never coerced.
 
     Terms may come in any order, but no two may have the same exponents.
+    The ground is checked once and each term by the check ``Monomial`` runs,
+    so the terms are built unchecked.
     """
     try:
+        _require_ground(ground)
+        labels = ground.elements
         monos = []
         (terms,) = _json_fields(obj, ("terms",), "polynomial")
         for term in terms:
@@ -211,9 +215,12 @@ def poly_from_json(obj, ground: IndexSet) -> Polynomial:
             parts = _JSON_COEFF.fullmatch(coeff) if isinstance(coeff, str) else None
             if parts is None:
                 raise MalformedCertificateError(f"coefficient must be a string p or p/q, got {coeff!r}")
+            if type(raw_exps) is not list:
+                raise MalformedCertificateError(f"exps must be a list, got {type(raw_exps).__name__}")
             num, den = parts.groups()
             value = int(num) if den is None else Fraction(int(num), int(den))
-            monos.append(Monomial(ground, value, tuple([((i, j), e) for (i, j), e in raw_exps])))
+            exps = tuple([((i, j), e) for (i, j), e in raw_exps])
+            monos.append(_trusted(Monomial, ground=ground, coeff=_check_term(labels, value, exps), exps=exps))
         poly = _sorted_poly(ground, monos)  # equal exps sort next to each other
         for mono, after in zip(poly.terms, poly.terms[1:]):
             if mono.exps == after.exps:
@@ -229,7 +236,7 @@ def certificate_to_json(cert: Certificate) -> dict:
     return {
         "ground": list(cert.ground),
         "g": cert.g,
-        "input": poly_to_json(cert.input.as_poly()),
+        "input": {"terms": [_term_to_json(cert.input)]},
         "entries": [
             {"left": list(entry.block.left), "cofactor": poly_to_json(entry.cofactor)}
             for entry in cert.entries

@@ -10,6 +10,7 @@ nothing but normal forms, so the two sides act as independent witnesses.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import product
 from typing import Iterator, NamedTuple
 
@@ -258,12 +259,13 @@ def decompose(mono: Monomial, g: int) -> Certificate:
         raise PreconditionError(
             f"degree {mono.degree} below the vanishing bound {bound} for n={n}, g={g}"
         )
-    ground, coeff = mono.ground, mono.coeff
+    ground = mono.ground
+    p, q = mono.coeff.numerator, mono.coeff.denominator
     entries = _solve(ground, mono.exps, _Recursion.start(n, g))
     # the left parts come from the recursion, so the blocks are valid by construction
     return Certificate(ground, g, mono, tuple(
         CertificateEntry(_trusted(Block, ground=ground, left=left),
-                         Polynomial.from_map(ground, {e: coeff * c for e, c in entries[left].items()}))
+                         Polynomial.from_map(ground, {e: Fraction(p * c, q) for e, c in entries[left].items()}))
         for left in sorted(entries)
     ))
 

@@ -37,7 +37,7 @@ def dim_ring_graded(n: int, d: int) -> int:
     """Dimension of the degree-d slice of the quotient ring over n labels."""
     if not isinstance(n, int) or n < 2:
         raise PreconditionError(f"need at least 2 labels, got n={n!r}")
-    if not isinstance(d, int) or d < 0:
+    if type(d) is not int or d < 0:  # exactly int: bool is refused
         raise PreconditionError(f"degree must be a nonnegative integer, got {d!r}")
     return math.comb(d + n - 2, n - 2)
 
@@ -102,15 +102,17 @@ class IntRowSpace:
         return not any(self.reduce(row))
 
 
-def _require_scope(ground: IndexSet, g: int, d: int) -> None:
+def _require_scope(ground: IndexSet, g: int, degrees: Iterable[int]) -> None:
+    """The one check of a slice's scope: the ground set, g and every degree."""
     _require_g(g)
     _require_ground(ground)
     if len(ground) > 4:
         raise PreconditionError(f"graded-dimension scope covers 2 to 4 labels, got {len(ground)}")
     if g not in (2, 3):
         raise PreconditionError(f"graded-dimension scope covers g in {{2, 3}}, got {g}")
-    if not isinstance(d, int) or d < 0:
-        raise PreconditionError(f"degree must be a nonnegative integer, got {d!r}")
+    for d in degrees:
+        if type(d) is not int or d < 0:  # exactly int: bool is refused
+            raise PreconditionError(f"degree must be a nonnegative integer, got {d!r}")
 
 
 @dataclass(frozen=True)
@@ -122,7 +124,7 @@ class BlockIdealSlice:
     degree: int
 
     def __post_init__(self):
-        _require_scope(self.ground, self.g, self.degree)
+        _require_scope(self.ground, self.g, (self.degree,))
 
     @cached_property
     def _layout(self):
@@ -199,10 +201,12 @@ class GradedReport:
 
 
 def graded_report(ground: IndexSet, g: int, degrees: Iterable[int]) -> GradedReport:
-    """One row per degree; SizeLimitError above RANGE_LIMIT degrees, before any slice is built."""
+    """One row per degree; SizeLimitError above RANGE_LIMIT degrees, then the scope
+    is checked, both before any slice is built."""
     degrees = list(islice(degrees, RANGE_LIMIT + 1))
     if len(degrees) > RANGE_LIMIT:
         raise SizeLimitError(f"more than {RANGE_LIMIT} degrees, above the limit for one report")
+    _require_scope(ground, g, degrees)
     rows = []
     for d in degrees:
         slice_ = block_ideal_slice(ground, g, d)

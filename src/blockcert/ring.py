@@ -123,6 +123,46 @@ def _merge_exps(a: Exponents, b: Exponents) -> Exponents:
     return tuple(out)
 
 
+def _check_term(labels: tuple[Label, ...], coeff, exps) -> Fraction:
+    """The one check of a term, shared by ``Monomial`` and the JSON reader; returns ``coeff`` as a Fraction.
+
+    ``coeff`` must be a nonzero int or Fraction, and ``exps`` a tuple of
+    ((i, j), e) pairs, strictly ascending, with distinct integer labels from
+    ``labels`` and positive integer exponents.
+    """
+    if type(coeff) is int:
+        coeff = Fraction(coeff)
+    elif not isinstance(coeff, Fraction):
+        raise PreconditionError(f"monomial coefficient must be an int or a Fraction, got {coeff!r}")
+    if coeff == 0:
+        raise PreconditionError("monomial coefficient must be nonzero")
+    # a list, even inside the tuple, would pass the checks below and then fail hash()
+    if type(exps) is not tuple:
+        raise PreconditionError(f"monomial exps must be a tuple, got {type(exps).__name__}")
+    try:
+        hash(exps)
+    except TypeError:
+        raise PreconditionError(f"monomial exps must hold tuples only, got {exps!r}") from None
+    prev = None
+    for item in exps:
+        try:
+            (i, j), e = item
+        except (TypeError, ValueError):
+            raise PreconditionError(f"monomial exps must hold ((i, j), e) pairs, got {exps!r}") from None
+        if type(i) is not int or type(j) is not int:
+            raise PreconditionError(f"variable x[{i!r},{j!r}] must have integer labels")
+        if i == j:
+            raise PreconditionError(f"variable x[{i},{j}] has equal indices")
+        if i not in labels or j not in labels:
+            raise PreconditionError(f"variable x[{i},{j}] outside ground set {labels}")
+        if type(e) is not int or e <= 0:
+            raise PreconditionError(f"exponent of x[{i},{j}] must be a positive integer, got {e!r}")
+        if prev is not None and prev >= (i, j):
+            raise PreconditionError("exponent pairs must be strictly ascending")
+        prev = (i, j)
+    return coeff
+
+
 @dataclass(frozen=True)
 class Monomial:
     """coeff * prod x[i,j]^e: nonzero int or Fraction coeff, int labels, positive int exponents.
@@ -137,39 +177,7 @@ class Monomial:
 
     def __post_init__(self):
         _require_ground(self.ground)
-        if type(self.coeff) is int:
-            object.__setattr__(self, "coeff", Fraction(self.coeff))
-        elif not isinstance(self.coeff, Fraction):
-            raise PreconditionError(f"monomial coefficient must be an int or a Fraction, got {self.coeff!r}")
-        if self.coeff == 0:
-            raise PreconditionError("monomial coefficient must be nonzero")
-        # a list, even inside the tuple, would pass the checks below and then fail hash()
-        if type(self.exps) is not tuple:
-            raise PreconditionError(f"monomial exps must be a tuple, got {type(self.exps).__name__}")
-        try:
-            hash(self.exps)
-        except TypeError:
-            raise PreconditionError(f"monomial exps must hold tuples only, got {self.exps!r}") from None
-        labels = self.ground.elements
-        prev = None
-        for item in self.exps:
-            try:
-                (i, j), e = item
-            except (TypeError, ValueError):
-                raise PreconditionError(
-                    f"monomial exps must hold ((i, j), e) pairs, got {self.exps!r}"
-                ) from None
-            if type(i) is not int or type(j) is not int:
-                raise PreconditionError(f"variable x[{i!r},{j!r}] must have integer labels")
-            if i == j:
-                raise PreconditionError(f"variable x[{i},{j}] has equal indices")
-            if i not in labels or j not in labels:
-                raise PreconditionError(f"variable x[{i},{j}] outside ground set {self.ground.elements}")
-            if type(e) is not int or e <= 0:
-                raise PreconditionError(f"exponent of x[{i},{j}] must be a positive integer, got {e!r}")
-            if prev is not None and prev >= (i, j):
-                raise PreconditionError("exponent pairs must be strictly ascending")
-            prev = (i, j)
+        object.__setattr__(self, "coeff", _check_term(self.ground.elements, self.coeff, self.exps))
 
     @classmethod
     def make(cls, ground: IndexSet, coeff, exps: Mapping[Pair, int] | Iterable = ()) -> "Monomial":
@@ -344,7 +352,9 @@ class _BaseKeys:
         terms that share powers share their partial expansions.  Groups with
         the most powers left go first, so every group is complete when its
         turn comes; equal keys merge, zero sums drop before a group is
-        expanded further, and a group that cancels builds no row.  Before a
+        expanded further, and a group that cancels builds no row.  A level
+        is made when a group first lands on it, and each binomial row runs
+        in place, one running key per state.  Before a
         binomial row is built, the expansion is charged d * (e + 1) per key
         of the group, d the top degree of the terms: the products the row
         runs, times the bit growth of the coefficients.  Raises
@@ -353,8 +363,7 @@ class _BaseKeys:
         base, units = self.base, self.units
         top = 0
         # levels[k]: the groups with k folded powers left, {powers left: {key: coeff}}
-        levels: list[dict[tuple[tuple[Pair, int], ...], dict[int, int]]] = [
-            {} for _ in range(len(units) * (len(units) - 1) // 2 + 1)]
+        levels: dict[int, dict[tuple[tuple[Pair, int], ...], dict[int, int]]] = {}
         for t in terms:
             start = 0
             negate = 0
@@ -377,11 +386,11 @@ class _BaseKeys:
             if degree > top:
                 top = degree
             coeff = t.coeff.numerator * (scale // t.coeff.denominator)
-            group = levels[len(powers)].setdefault(tuple(sorted(powers.items())), {})
+            group = levels.setdefault(len(powers), {}).setdefault(tuple(sorted(powers.items())), {})
             group[start] = group.get(start, 0) + (-coeff if negate else coeff)
         size = 0
-        for left in range(len(levels) - 1, 0, -1):
-            for powers, states in levels[left].items():
+        for left in range(max(levels, default=0), 0, -1):
+            for powers, states in levels.get(left, {}).items():
                 if 0 in states.values():
                     states = {key: c for key, c in states.items() if c}
                     if not states:
@@ -398,13 +407,14 @@ class _BaseKeys:
                 # its k-th term is (-1)^(e-k) C(e, k) x[base,i]^(e-k) x[base,j]^k
                 first, step = e * units[i], units[j] - units[i]
                 bcs = _SMALL_ROWS[e] if e < len(_SMALL_ROWS) else _signed_binomials(e)
-                row = [(bc, first + k * step) for k, bc in enumerate(bcs)]
-                nxt = levels[left - 1].setdefault(rest, {})
+                nxt = levels.setdefault(left - 1, {}).setdefault(rest, {})
                 for key, c in states.items():
-                    for bc, offset in row:
-                        at = key + offset
+                    at = key + first
+                    for bc in bcs:
                         nxt[at] = nxt.get(at, 0) + c * bc
-        return {key: c for key, c in levels[0].get((), {}).items() if c}
+                        at += step
+        last = levels.get(0, {}).get((), {})
+        return {key: c for key, c in last.items() if c} if 0 in last.values() else last
 
     def block(self, pairs: tuple[Pair, ...], power: int) -> Mapping[int, int]:
         """The expansion of the product of x[i,j]^power over ``pairs``, read-only: it is shared."""

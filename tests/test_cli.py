@@ -190,6 +190,18 @@ def test_malformed_certificate_json_rejected():
         ("exps", [[[1, 2], 1], [[1, 2], 3]]),
         ("coeff", "\uff11"),
         ("coeff", "1/\uff12"),
+        # the term defects the reader refuses through the check Monomial runs
+        ("coeff", "0"),
+        ("coeff", "-0"),
+        ("coeff", "0/3"),
+        ("coeff", "1/0"),
+        ("exps", [[[1, 2], 0]]),
+        ("exps", [[[1, 2], -1]]),
+        ("exps", [[[2, 2], 1]]),
+        ("exps", [[[2, 1], 1], [[1, 2], 3]]),
+        ("exps", [[[[1], 2], 1]]),
+        ("exps", {}),
+        ("exps", {"[1, 2]": 4}),
     ):
         bad = json.loads(json.dumps(good))
         bad["input"]["terms"][0][field] = value

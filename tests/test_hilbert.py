@@ -150,13 +150,23 @@ def test_scope_preconditions():
         dim_quotient_graded(standard_ground(5), 2, 10)
     with pytest.raises(PreconditionError):
         dim_quotient_graded(X3, 4, 10)
-    # the public constructor refuses what block_ideal_slice refuses
+    # the public constructor refuses what block_ideal_slice refuses, and a bool is no degree
     for ground, g, d in ((X3, 1, 5), (X3, 0, 5), (X3, True, 5), (X3, 4, 5),
-                         (standard_ground(5), 2, 5), (X3, 2, -1)):
+                         (standard_ground(5), 2, 5), (X3, 2, -1), (X3, 2, True), (X3, 2, False)):
         with pytest.raises(PreconditionError):
             BlockIdealSlice(ground, g, d)
         with pytest.raises(PreconditionError):
             block_ideal_slice(ground, g, d)
+        with pytest.raises(PreconditionError):
+            graded_report(ground, g, [d])
+        # the ground and g are checked before any degree, so even with none
+        if d == 5:
+            with pytest.raises(PreconditionError):
+                graded_report(ground, g, [])
+    with pytest.raises(PreconditionError, match="True"):
+        graded_report(X3, 2, [True, 2])
+    with pytest.raises(PreconditionError):
+        dim_ring_graded(3, True)
 
 
 def test_size_limit_enforced():

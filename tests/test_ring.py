@@ -115,6 +115,7 @@ def test_every_ground_is_checked():
                 lambda: Block(ground, (1,)), lambda: enumerate_blocks(ground),
                 lambda: pivot_lemma_check(ground, 2), lambda: split_lemma_check(ground, 2),
                 lambda: block_ideal_slice(ground, 2, 5), lambda: graded_report(ground, 2, [5]),
+                lambda: graded_report(ground, 2, []),
                 lambda: parse_poly("x[1,2]", ground))
     for ground in (5, (1, 2, 3)):
         for use in uses(ground):
