@@ -303,7 +303,7 @@ def verify_certificate(cert: Certificate) -> bool:
     # NF coefficients are integer combinations of their cofactor's, so the
     # cofactors' denominators clear them: the input is expanded before any NF.
     scale = _common_denominator((zeta, *(t for entry in cert.entries for t in entry.cofactor.terms)))
-    acc = keys.expand((zeta,), -scale)
+    acc = keys.expand((zeta,), -scale, degree)
     forms = [ring.normal_form(entry.cofactor).terms for entry in cert.entries]
     products = 0
     for entry, terms in zip(cert.entries, forms):

@@ -202,7 +202,13 @@ class Monomial:
     def sort_key(self):
         # Ascending sort by this key lists terms in descending graded
         # lexicographic order (exponent vectors read in ascending pair order).
-        return (-self.degree, tuple((p, -e) for p, e in self.exps))
+        # One plain loop sums the degree and builds the pairs: it runs per term.
+        degree = 0
+        lex = []
+        for p, e in self.exps:
+            degree += e
+            lex.append((p, -e))
+        return (-degree, tuple(lex))
 
     def __mul__(self, other: "Monomial") -> "Monomial":
         if not isinstance(other, Monomial):
@@ -305,7 +311,10 @@ class Polynomial:
 def _sorted_poly(ground: IndexSet, terms: Iterable[Monomial]) -> Polynomial:
     """The canonical polynomial of valid monomials over ``ground`` with distinct exps: sorted, not checked again."""
     _require_ground(ground)
-    return _trusted(Polynomial, ground=ground, terms=tuple(sorted(terms, key=Monomial.sort_key)))
+    terms = list(terms)
+    if len(terms) > 1:  # fewer terms are in order: no key is built
+        terms.sort(key=Monomial.sort_key)
+    return _trusted(Polynomial, ground=ground, terms=tuple(terms))
 
 
 def _common_denominator(terms: Iterable[Monomial]) -> int:
@@ -338,11 +347,12 @@ class _BaseKeys:
                 shift -= bits
                 units[lab] = 1 << shift
 
-    def expand(self, terms: Iterable[Monomial], scale: int) -> dict[int, int]:
+    def expand(self, terms: Iterable[Monomial], scale: int, top: int) -> dict[int, int]:
         """``scale`` times the sum of ``terms``, in the base variables: packed key -> nonzero coefficient.
 
         ``scale`` is a multiple of every coefficient's denominator, so the
-        whole expansion is integer multiply-adds.
+        whole expansion is integer multiply-adds.  ``top`` is the top degree
+        of ``terms``: every caller already has it, so no term is summed here.
 
         Each term is folded once, both orientations of a pair into one power
         x[i,j]^e off the base label, and the terms are grouped by the powers
@@ -354,23 +364,19 @@ class _BaseKeys:
         turn comes; equal keys merge, zero sums drop before a group is
         expanded further, and a group that cancels builds no row.  A level
         is made when a group first lands on it, and each binomial row runs
-        in place, one running key per state.  Before a
-        binomial row is built, the expansion is charged d * (e + 1) per key
-        of the group, d the top degree of the terms: the products the row
-        runs, times the bit growth of the coefficients.  Raises
-        SizeLimitError as soon as the charges sum above EXPANSION_LIMIT.
+        in place, one running key per state.  Before a binomial row is
+        built, the expansion is charged top * (e + 1) per key of the group:
+        the products the row runs, times the bit growth of the coefficients.
+        Raises SizeLimitError as soon as the charges sum above EXPANSION_LIMIT.
         """
         base, units = self.base, self.units
-        top = 0
         # levels[k]: the groups with k folded powers left, {powers left: {key: coeff}}
         levels: dict[int, dict[tuple[tuple[Pair, int], ...], dict[int, int]]] = {}
         for t in terms:
             start = 0
             negate = 0
-            degree = 0
             powers: dict[Pair, int] = {}
             for (i, j), e in t.exps:
-                degree += e
                 if i == base:
                     start += e * units[j]
                 elif j == base:
@@ -383,8 +389,6 @@ class _BaseKeys:
                         i, j = j, i
                         negate ^= e & 1
                     powers[i, j] = powers.get((i, j), 0) + e
-            if degree > top:
-                top = degree
             coeff = t.coeff.numerator * (scale // t.coeff.denominator)
             group = levels.setdefault(len(powers), {}).setdefault(tuple(sorted(powers.items())), {})
             group[start] = group.get(start, 0) + (-coeff if negate else coeff)
@@ -484,7 +488,7 @@ def _block_form(ground: IndexSet, base: Label, bits: int, pairs: tuple[Pair, ...
     """``_BaseKeys.block``, expanded once per key; a form above the budget raises and is not kept."""
     term = _trusted(Monomial, ground=ground, coeff=_Q1, exps=tuple((pair, power) for pair in pairs))
     keys = _BaseKeys(ground, base, (1 << bits) - 1)  # the degree whose fields are bits wide
-    return MappingProxyType(keys.expand((term,), 1))
+    return MappingProxyType(keys.expand((term,), 1, power * len(pairs)))
 
 
 def _to_base(ground: IndexSet, terms: tuple[Monomial, ...], base: Label) -> Polynomial:
@@ -496,9 +500,10 @@ def _to_base(ground: IndexSet, terms: tuple[Monomial, ...], base: Label) -> Poly
     binomial row that would pass it is built, when the expansion is charged
     above EXPANSION_LIMIT.
     """
-    keys = _BaseKeys(ground, base, max((t.degree for t in terms), default=0))
+    top = max((t.degree for t in terms), default=0)
+    keys = _BaseKeys(ground, base, top)
     scale = _common_denominator(terms)
-    return keys.to_poly(keys.expand(terms, scale), scale)
+    return keys.to_poly(keys.expand(terms, scale, top), scale)
 
 
 def rewrite_to_base(mono: Monomial, base: Label) -> Polynomial:

@@ -27,7 +27,7 @@ from blockcert import (
     rewrite_to_base,
     split_lemma_check,
 )
-from blockcert.ring import _BaseKeys, _block_form
+from blockcert.ring import _BaseKeys, _block_form, _sorted_poly
 from helpers import eval_at, random_monomial, random_point, random_poly, relation_generators, standard_ground, sum_of
 
 X2 = IndexSet((1, 2))
@@ -142,6 +142,40 @@ def test_canonical_term_order():
         (((1, 3), 3),),
         (((1, 2), 1),),
     ]
+
+
+def _reference_key(m):
+    """``Monomial.sort_key`` as it is defined: the degree negated, then each (pair, -e)."""
+    return (-m.degree, tuple((p, -e) for p, e in m.exps))
+
+
+def test_sort_key_matches_its_definition():
+    # sort_key sums the degree and builds the pairs in one loop
+    rng = random.Random(2601)
+    monos = [Monomial.make(X3, 5), Monomial.make(X3, Fraction(-1, 3), {(2, 1): 4})]
+    for n in range(2, 6):
+        ground = standard_ground(n)
+        monos += [random_monomial(rng, ground, rng.randint(0, 12)) for _ in range(25)]
+    for m in monos:
+        assert m.sort_key() == _reference_key(m)
+
+
+def test_sorted_poly_gives_canonical_order_for_any_term_count():
+    # _sorted_poly builds no key for fewer than two terms, and sorts the rest
+    assert _sorted_poly(X3, []).terms == ()
+    one = Monomial.make(X3, 2, {(3, 1): 3})
+    assert _sorted_poly(X3, iter([one])).terms == (one,)
+    rng = random.Random(2602)
+    by_exps = {}
+    for _ in range(40):
+        m = random_monomial(rng, X3, rng.randint(0, 6))
+        by_exps[m.exps] = m
+    canonical = sorted(by_exps.values(), key=_reference_key)
+    Polynomial(X3, tuple(canonical))  # the checked constructor accepts the order
+    shuffled = canonical[:]
+    rng.shuffle(shuffled)
+    for given in (canonical, canonical[::-1], shuffled):
+        assert _sorted_poly(X3, given).terms == tuple(canonical)
 
 
 def test_constant_takes_int_or_fraction_only():
