@@ -211,10 +211,7 @@ def poly_from_json(obj, ground: IndexSet) -> Polynomial:
         monos = []
         (terms,) = _json_fields(obj, ("terms",), "polynomial")
         for term in terms:
-            if type(term) is dict and len(term) == 2 and "coeff" in term and "exps" in term:
-                coeff, raw_exps = term["coeff"], term["exps"]  # the common case, read directly
-            else:  # anything else gets _json_fields's error
-                coeff, raw_exps = _json_fields(term, ("coeff", "exps"), "term")
+            coeff, raw_exps = _json_fields(term, ("coeff", "exps"), "term")
             parts = _JSON_COEFF.fullmatch(coeff) if isinstance(coeff, str) else None
             if parts is None:
                 raise MalformedCertificateError(f"coefficient must be a string p or p/q, got {coeff!r}")
