@@ -250,7 +250,8 @@ def split_lemma_check(ground: IndexSet, g: int) -> tuple[int, list[tuple[int, ..
     n = len(ground)
     pivot = ground.min()
     rest = ground.without(pivot)
-    thresholds = {h: vanishing_bound(n, g) - 2 * g * (n - 1 - h) * h for h in range(1, n - 1)}
+    m = 2 * g
+    thresholds = {h: vanishing_bound(n, g) - m * (n - 1 - h) * h for h in range(1, n - 1)}
     _require_case_count(sum(threshold + 1 for threshold in thresholds.values()))
     checked = 0
     failures = []

@@ -87,14 +87,14 @@ CALL_LIMIT = 5_000_000
 Terms = dict[Exponents, int]
 Entries = dict[tuple[Label, ...], Terms]  # left part -> cofactor terms
 Memo = dict[tuple[tuple[Label, ...], Exponents], Entries]  # (labels, exponents) -> entries
-# (labels, pivot, outer left) -> (branch, inner left) -> (merged left, leftover pairs^(2g))
+# (labels, pivot, outer left) -> (branch, inner left) -> (merged left, leftover pairs^m)
 Joins = dict[tuple, dict[tuple[str, tuple[Label, ...]], tuple[tuple[Label, ...], Exponents]]]
 
 
 class _Recursion(NamedTuple):
     """What one ``decompose`` call shares across its recursion; it dies with the call."""
 
-    g: int
+    m: int  # the block exponent 2g
     bounds: dict[int, int]  # label count k -> vanishing_bound(k, g), for 2 <= k < n
     budget: Iterator[int]  # the work budget: CALL_LIMIT items, one per sub-problem
     memo: Memo
@@ -102,22 +102,22 @@ class _Recursion(NamedTuple):
 
     @classmethod
     def start(cls, n: int, g: int) -> "_Recursion":
-        return cls(g, {k: vanishing_bound(k, g) for k in range(2, n)}, iter(range(CALL_LIMIT)), {}, {})
+        return cls(2 * g, {k: vanishing_bound(k, g) for k in range(2, n)}, iter(range(CALL_LIMIT)), {}, {})
 
 
-def _two_label_entries(u: Label, v: Label, exps: Exponents, g: int) -> Entries:
-    """Closed form over two labels u < v: x[u,v]^a * x[v,u]^b with a+b >= 2g
-    becomes (-1)^b * x[u,v]^(a+b-2g) on the block {u} x {v}.  ``exps`` holds
+def _two_label_entries(u: Label, v: Label, exps: Exponents, m: int) -> Entries:
+    """Closed form over two labels u < v: x[u,v]^a * x[v,u]^b with a+b >= m = 2g
+    becomes (-1)^b * x[u,v]^(a+b-m) on the block {u} x {v}.  ``exps`` holds
     only those two pairs, and the coefficient is left to the caller.
     ``decompose``'s bound check (at the top level) and the pivot and routing
-    rules (below it) guarantee a+b >= 2g."""
+    rules (below it) guarantee a+b >= m."""
     a = b = 0
     for (i, _), e in exps:
         if i == u:
             a = e
         else:
             b = e
-    residual = a + b - 2 * g
+    residual = a + b - m
     return {(u,): {(((u, v), residual),) if residual else (): -1 if b & 1 else 1}}
 
 
@@ -150,7 +150,7 @@ def merge_blocks(outer: Block, inner: Block, ground: IndexSet,
     return _trusted(Block, ground=ground, left=merged_left), leftover
 
 
-def _add_product(acc: Terms, terms: Terms, factor: Exponents, scale: int = 1) -> None:
+def _add_product(acc: Terms, terms: Terms, factor: Exponents, scale: int) -> None:
     """Add ``scale`` times ``terms`` times the monomial ``factor`` into ``acc``; zero sums are kept."""
     for exps, coeff in terms.items():
         key = _merge_exps(exps, factor)
@@ -167,14 +167,15 @@ def _solve(ground: IndexSet, exps: Exponents, run: _Recursion) -> Entries:
     runs on unit-coefficient monomials, where every binomial, sign and closed
     form is an integer, and ``decompose`` applies the input's coefficient
     once.  Over three or more labels, each entry over the ground set minus
-    the pivot is lifted in two phases.  Phase 1 routes and solves, adding
-    each inner cofactor term times its spare pairs and its integer
-    coefficient into a bucket per (branch, inner left part).  Phase 2 adds
-    each bucket, times its leftover pairs^(2g), into its merged block's
-    entry.  Zero sums are dropped at return.
+    the pivot is lifted in one pass: each term of its cofactor, times the
+    pivot's pairs, is rewritten to the pivot's variables, each of those
+    terms is routed and solved, and each inner cofactor term, times its
+    spare factors, the join's leftover pairs^m and its integer coefficient,
+    is added into its merged block's entry.  Zero sums are dropped at
+    return.
 
-    ``run`` lives for one ``decompose`` call, whose g it fixes, so neither
-    table below keys on g.  ``run.memo`` holds the entries of every
+    ``run`` lives for one ``decompose`` call, whose block exponent m = 2g it
+    fixes, so neither table below keys on g.  ``run.memo`` holds the entries of every
     sub-monomial over three or more labels solved so far, keyed on its
     labels and exponents.  A hit still takes its item of the budget, and it
     is looked up after the pivot choice and the split, so every sub-problem
@@ -182,15 +183,15 @@ def _solve(ground: IndexSet, exps: Exponents, run: _Recursion) -> Entries:
     Callers only read the returned maps, so a hit returns the stored one
     without a copy.  ``run.joins`` holds, per (labels, pivot, outer left
     part) and (branch, inner left part), the merged block's left part with
-    the smallest label kept on the right, and the leftover pairs^(2g), so
+    the smallest label kept on the right, and the leftover pairs^m, so
     ``merge_blocks`` runs once per block pair in the call.
     """
     if next(run.budget, None) is None:
         raise SizeLimitError(f"decompose needs more than {CALL_LIMIT} steps, above its work budget")
     labels = ground.elements
     if len(labels) == 2:
-        return _two_label_entries(*labels, exps, run.g)
-    g, bounds, _, memo, joins = run
+        return _two_label_entries(*labels, exps, run.m)
+    m, bounds, _, memo, joins = run
     # Below, every Monomial, Block and IndexSet is built from parts validated
     # at the top-level call, so none of them is checked again.  The one
     # Monomial is what the select_pivot and split_at seams read.
@@ -202,7 +203,6 @@ def _solve(ground: IndexSet, exps: Exponents, run: _Recursion) -> Entries:
         return solved
     outer_ground = ground.without(pivot)
     first = labels[0]
-    two_g = 2 * g
     acc: Entries = {}
     for outer_left, theta in _solve(outer_ground, rest, run).items():
         outer_block = _trusted(Block, ground=outer_ground, left=outer_left)
@@ -210,7 +210,7 @@ def _solve(ground: IndexSet, exps: Exponents, run: _Recursion) -> Entries:
         left_bound, right_bound = bounds[len(outer_left) + 1], bounds[len(outer_right) + 1]
         sub_grounds = {side: _trusted(IndexSet, elements=tuple(sorted(part + (pivot,))))
                        for side, part in (("H", outer_left), ("W", outer_right))}
-        buckets: dict[tuple[str, tuple[Label, ...]], Terms] = {}  # (branch, inner left) -> terms
+        known = joins.setdefault((labels, pivot, outer_left), {})
         for term, coeff in theta.items():
             # lifted has coefficient one, so every term it rewrites to has an
             # integer coefficient and p.coeff.numerator below is exact
@@ -220,17 +220,13 @@ def _solve(ground: IndexSet, exps: Exponents, run: _Recursion) -> Entries:
                 # chosen reaches the bound of its side plus the pivot, checked by branch_of_split
                 scale = p.coeff.numerator * coeff
                 for inner_left, phi in _solve(sub_grounds[side], chosen, run).items():
-                    _add_product(buckets.setdefault((side, inner_left), {}), phi, spare, scale)
-        known = joins.setdefault((labels, pivot, outer_left), {})
-        for join_key, terms in buckets.items():
-            if (join := known.get(join_key)) is None:
-                side, inner_left = join_key
-                inner_block = _trusted(Block, ground=sub_grounds[side], left=inner_left)
-                merged, leftover = merge_blocks(outer_block, inner_block, ground, side)
-                join = known[join_key] = (merged.right if first in merged.left else merged.left,
-                                          tuple((pair, two_g) for pair in leftover))
-            merged_left, factor = join
-            _add_product(acc.setdefault(merged_left, {}), terms, factor)
+                    if (join := known.get((side, inner_left))) is None:
+                        inner_block = _trusted(Block, ground=sub_grounds[side], left=inner_left)
+                        merged, leftover = merge_blocks(outer_block, inner_block, ground, side)
+                        join = known[side, inner_left] = (merged.right if first in merged.left else merged.left,
+                                                          tuple((pair, m) for pair in leftover))
+                    merged_left, leftover = join
+                    _add_product(acc.setdefault(merged_left, {}), phi, _merge_exps(spare, leftover), scale)
     entries = {left: kept for left, terms in acc.items() if (kept := {e: c for e, c in terms.items() if c})}
     memo[key] = entries
     return entries
@@ -291,9 +287,9 @@ def verify_certificate(cert: Certificate) -> bool:
     """
     zeta = cert.input
     degree = zeta.degree
-    two_g = 2 * cert.g
+    m = 2 * cert.g
     for entry in cert.entries:
-        target = degree - two_g * entry.block.pair_count
+        target = degree - m * entry.block.pair_count
         cofactor = entry.cofactor
         if cofactor.is_zero or any(t.degree != target for t in cofactor.terms):
             return False
@@ -304,11 +300,10 @@ def verify_certificate(cert: Certificate) -> bool:
     # cofactors' denominators clear them: the input is expanded before any NF.
     scale = _common_denominator((zeta, *(t for entry in cert.entries for t in entry.cofactor.terms)))
     acc = keys.expand((zeta,), -scale, degree)
-    forms = [ring.normal_form(entry.cofactor).terms for entry in cert.entries]
     products = 0
-    for entry, terms in zip(cert.entries, forms):
-        cofactor = list(keys.pack(terms, scale))
-        block = keys.block(entry.block.pairs, two_g)
+    for entry in cert.entries:
+        cofactor = keys.expand(ring.normal_form(entry.cofactor).terms, scale, entry.cofactor.degree).items()
+        block = keys.block(entry.block.pairs, m)
         products += len(block) * len(cofactor)
         if products > EXPANSION_LIMIT:
             raise SizeLimitError(

@@ -134,10 +134,11 @@ class BlockIdealSlice:
     @cached_property
     def _space(self) -> IntRowSpace:
         ncols = dim_ring_graded(len(self.ground), self.degree)
+        m = 2 * self.g
         blocks = [
-            (block, self.degree - 2 * self.g * block.pair_count)
+            (block, self.degree - m * block.pair_count)
             for block in enumerate_blocks(self.ground)
-            if self.ground.min() in block.right and self.degree >= 2 * self.g * block.pair_count
+            if self.ground.min() in block.right and self.degree >= m * block.pair_count
         ]
         nrows = sum(dim_ring_graded(len(self.ground), remaining) for _, remaining in blocks)
         if nrows * ncols > SIZE_LIMIT:  # checked before any row or column is built
@@ -145,7 +146,7 @@ class BlockIdealSlice:
         keys, columns = self._layout
         space = IntRowSpace(ncols)
         for block, remaining in blocks:
-            generator = keys.block(block.pairs, 2 * self.g)
+            generator = keys.block(block.pairs, m)
             for offset in keys.of_degree(remaining):
                 if space.rank == ncols:
                     return space  # already full
@@ -171,7 +172,7 @@ class BlockIdealSlice:
         keys, columns = self._layout
         terms = normal_form(p).terms
         row = [0] * space.ncols
-        for key, c in keys.pack(terms, _common_denominator(terms)):
+        for key, c in keys.expand(terms, _common_denominator(terms), self.degree).items():
             row[columns[key]] = c
         return space.contains(row)
 

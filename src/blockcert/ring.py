@@ -424,13 +424,6 @@ class _BaseKeys:
         """The expansion of the product of x[i,j]^power over ``pairs``, read-only: it is shared."""
         return _block_form(self.ground, self.base, self.bits, pairs, power)
 
-    def pack(self, terms: Iterable[Monomial], scale: int) -> Iterator[tuple[int, int]]:
-        """(key, integer coefficient * ``scale``) of each term, all in the base variables."""
-        units = self.units
-        for t in terms:
-            c = t.coeff
-            yield sum(e * units[j] for (_, j), e in t.exps), c.numerator * (scale // c.denominator)
-
     def of_degree(self, degree: int) -> list[int]:
         """The keys of every base monomial of ``degree``, in ``iter_compositions`` order."""
         *heads, last = self.units.values()

@@ -106,7 +106,7 @@ def test_base_certificate_matches_closed_formula_sweep():
                     entry, = cert.entries
                     assert entry.block == Block(ground, (u,))
                     assert entry.cofactor == expected.as_poly()
-                    assert dec._two_label_entries(u, v, mono.exps, g) == {(u,): {expected.exps: sign}}
+                    assert dec._two_label_entries(u, v, mono.exps, 2 * g) == {(u,): {expected.exps: sign}}
                     assert verify_certificate(cert)
 
 

@@ -379,7 +379,7 @@ def test_block_forms_are_kept_per_ground_base_and_width():
         for base in ground:
             for degree in (7, 8):
                 keys = _BaseKeys(ground, base, degree)
-                assert keys.block(pairs, 2) == dict(keys.pack(rewrite_to_base(mono, base).terms, 1))
+                assert keys.block(pairs, 2) == keys.expand(rewrite_to_base(mono, base).terms, 1, 4)
 
 
 # -- normal forms ------------------------------------------------------------
