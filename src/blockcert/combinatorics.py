@@ -198,7 +198,8 @@ def pivot_lemma_check(ground: IndexSet, g: int, samples: int = 0,
     Each composition of that degree into the 2-subset slots {i,j}, i < j, is
     the monomial with exponent c on x[i,j]; the check runs over all of them,
     or over ``samples`` uniform draws when ``samples`` > 0.  It raises
-    PreconditionError for ``samples`` < 0 and SizeLimitError above
+    PreconditionError for a ``samples`` or ``seed`` that is not exactly an
+    int or for ``samples`` < 0, and SizeLimitError above
     LEMMA_CASE_LIMIT cases.  A composition fails when ``select_pivot`` raises
     RuntimeError.  Returns (checked, failing compositions); the second entry
     should always be empty.
@@ -209,6 +210,9 @@ def pivot_lemma_check(ground: IndexSet, g: int, samples: int = 0,
     labels = ground.elements
     keys = [(labels[a], labels[b]) for a in range(n) for b in range(a + 1, n)]
     total = vanishing_bound(n, g)
+    for name, value in (("sample count", samples), ("seed", seed)):
+        if type(value) is not int:  # exactly int: bool and float are refused
+            raise PreconditionError(f"{name} must be an integer, got {value!r}")
     if samples < 0:
         raise PreconditionError(f"sample count must be nonnegative, got {samples}")
     if samples > 0:

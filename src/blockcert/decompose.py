@@ -175,9 +175,9 @@ def _solve(ground: IndexSet, exps: Exponents, run: _Recursion) -> Entries:
     return.
 
     ``run`` lives for one ``decompose`` call, whose block exponent m = 2g it
-    fixes, so neither table below keys on g.  ``run.memo`` holds the entries of every
-    sub-monomial over three or more labels solved so far, keyed on its
-    labels and exponents.  A hit still takes its item of the budget, and it
+    fixes, so neither table below keys on g.  ``run.memo`` holds the entries
+    of every sub-monomial over three or more labels solved so far, keyed on
+    its labels and exponents.  A hit still takes its item of the budget, and it
     is looked up after the pivot choice and the split, so every sub-problem
     still passes ``split_at``, where perfbench/tracing.py counts repeats.
     Callers only read the returned maps, so a hit returns the stored one
@@ -270,21 +270,25 @@ def verify_certificate(cert: Certificate) -> bool:
     """Check a certificate using normal forms only.
 
     True iff every entry has a nonzero cofactor, homogeneous of degree
-    deg(input) - 2g * |left| * |right|, and NF(input) = sum over entries of
-    NF(block monomial) * NF(cofactor).  The normal form is a ring
-    homomorphism, so this is NF(input - sum of cofactor * block monomial) = 0.
-    Each NF(cofactor) comes from ``normal_form``, each NF(block monomial) from
-    the binomial expansion of its pairs, and the products are summed as
-    integers, scaled by one common denominator, on the packed keys of
-    ``ring._BaseKeys`` for the input degree.  Structural defects are
-    rejected at construction time with MalformedCertificateError, never
-    reported as False here.  The expansions of the input, of each block
-    monomial and of each cofactor's normal form are charged as they run,
-    before each binomial row is built, and the products of block expansion
-    keys by normal-form terms are counted, summed over the entries, before
-    each entry's are taken: a charge or a count above EXPANSION_LIMIT raises
-    SizeLimitError.
+    deg(input) - m * |left| * |right| for the block exponent m = 2g, and
+    NF(input) = sum over entries of NF(block monomial) * NF(cofactor).  The
+    normal form is a ring homomorphism, so this is NF(input - sum of
+    cofactor * block monomial) = 0.  The input is expanded on the packed
+    keys of ``ring._BaseKeys`` for its degree, scaled by one common
+    denominator; then one pass over the entries takes each NF(cofactor)
+    from ``normal_form``, places it on those keys with ``_BaseKeys.expand``,
+    and adds its products with the expansion of the block's pairs^m as
+    integers.  A value that is not a Certificate raises PreconditionError;
+    structural defects are rejected at construction time with
+    MalformedCertificateError, never reported as False here.  The
+    expansions of the input, of each block monomial and of each cofactor's
+    normal form are charged as they run, before each binomial row is built,
+    and the products of block expansion keys by normal-form terms are
+    counted, summed over the entries, before each entry's are taken: a
+    charge or a count above EXPANSION_LIMIT raises SizeLimitError.
     """
+    if not isinstance(cert, Certificate):
+        raise PreconditionError(f"verify_certificate expects a certificate, got {type(cert).__name__}")
     zeta = cert.input
     degree = zeta.degree
     m = 2 * cert.g

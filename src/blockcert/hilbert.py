@@ -162,6 +162,8 @@ class BlockIdealSlice:
 
     def contains(self, p: Polynomial) -> bool:
         """Membership of a homogeneous degree-d polynomial in the ideal slice."""
+        if not isinstance(p, Polynomial):
+            raise PreconditionError(f"contains expects a polynomial, got {type(p).__name__}")
         if p.ground != self.ground:
             raise PreconditionError("polynomial ground set differs from the slice ground set")
         if p.is_zero:

@@ -505,6 +505,8 @@ def rewrite_to_base(mono: Monomial, base: Label) -> Polynomial:
     Applies x[i,j] -> x[base,j] - x[base,i] and x[i,base] -> -x[base,i] with
     exact binomial expansion; the result is congruent to ``mono``.
     """
+    if not isinstance(mono, Monomial):
+        raise PreconditionError(f"rewrite_to_base expects a monomial, got {type(mono).__name__}")
     if base not in mono.ground:
         raise PreconditionError(f"base label {base} not in ground set {mono.ground.elements}")
     return _to_base(mono.ground, (mono,), base)
@@ -516,9 +518,14 @@ def normal_form(p: Polynomial) -> Polynomial:
     The result is zero exactly when p lies in the ideal generated by
     x[i,j] + x[j,i] and x[i,j] + x[j,k] + x[k,i].
     """
+    if not isinstance(p, Polynomial):
+        raise PreconditionError(f"normal_form expects a polynomial, got {type(p).__name__}")
     return _to_base(p.ground, p.terms, p.ground.min())
 
 
 def eq_mod_relations(p: Polynomial, q: Polynomial) -> bool:
     """True iff p and q represent the same class in the quotient ring."""
+    if not isinstance(p, Polynomial) or not isinstance(q, Polynomial):
+        raise PreconditionError(f"eq_mod_relations expects polynomials, got {type(p).__name__} "
+                                f"and {type(q).__name__}")
     return normal_form(p - q).is_zero

@@ -221,6 +221,16 @@ def test_lemma_checks_count_cases_before_running(monkeypatch):
         pivot_lemma_check(X3, 2, samples=8, seed=1)
 
 
+def test_pivot_lemma_check_refuses_non_int_samples_and_seed():
+    # exactly int: a float would fail in range() and True would run one sample
+    for kwargs in ({"samples": 1.5}, {"samples": True}, {"samples": "8"},
+                   {"samples": 8, "seed": 1.0}, {"samples": 8, "seed": False}, {"seed": None}):
+        with pytest.raises(PreconditionError, match="must be an integer"):
+            pivot_lemma_check(X3, 2, **kwargs)
+    with pytest.raises(PreconditionError, match="nonnegative"):
+        pivot_lemma_check(X3, 2, samples=-1)
+
+
 def test_split_lemma_reports_each_failing_case(monkeypatch):
     # the check runs branch_of_split itself, so a RuntimeError there is a failing case
     real = combinatorics.branch_of_split

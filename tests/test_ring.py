@@ -26,6 +26,7 @@ from blockcert import (
     poly_from_json,
     rewrite_to_base,
     split_lemma_check,
+    verify_certificate,
 )
 from blockcert.ring import _BaseKeys, _block_form, _sorted_poly
 from helpers import eval_at, random_monomial, random_point, random_poly, relation_generators, standard_ground, sum_of
@@ -133,6 +134,23 @@ def test_every_ground_is_checked():
                 lambda: pivot_lemma_check(X2, 2), lambda: split_lemma_check(X2, 2)):
         with pytest.raises(PreconditionError, match="at least"):
             use()
+
+
+@pytest.mark.parametrize("call, near_miss", [
+    (verify_certificate, "polynomial"),
+    (normal_form, "monomial"),
+    (lambda arg: rewrite_to_base(arg, 1), "polynomial"),
+    (lambda arg: block_ideal_slice(X3, 2, 1).contains(arg), "monomial"),
+    (lambda arg: eq_mod_relations(arg, P("x[1,2]")), "monomial"),
+    (lambda arg: eq_mod_relations(P("x[1,2]"), arg), "monomial"),
+], ids=["verify_certificate", "normal_form", "rewrite_to_base", "contains", "eq_mod_relations_p",
+        "eq_mod_relations_q"])
+def test_entry_points_check_their_argument_type(call, near_miss):
+    # a wrong type is refused with PreconditionError, also under -O, never a bare AttributeError or TypeError
+    near = {"polynomial": P("x[1,2]"), "monomial": Monomial.make(X3, 1, {(1, 2): 1})}[near_miss]
+    for arg in (None, "x[1,2]", Block(X3, (1,)), near):
+        with pytest.raises(PreconditionError, match="expects"):
+            call(arg)
 
 
 def test_canonical_term_order():
