@@ -368,6 +368,8 @@ class _BaseKeys:
         built, the expansion is charged top * (e + 1) per key of the group:
         the products the row runs, times the bit growth of the coefficients.
         Raises SizeLimitError as soon as the charges sum above EXPANSION_LIMIT.
+        Terms already in the base variables, such as a normal form's, land
+        on their keys with no row built and nothing charged.
         """
         base, units = self.base, self.units
         # levels[k]: the groups with k folded powers left, {powers left: {key: coeff}}
