@@ -225,8 +225,8 @@ def _solve(ground: IndexSet, exps: Exponents, run: _Recursion) -> Entries:
                         merged, leftover = merge_blocks(outer_block, inner_block, ground, side)
                         join = known[side, inner_left] = (merged.right if first in merged.left else merged.left,
                                                           tuple((pair, m) for pair in leftover))
-                    merged_left, leftover = join
-                    _add_product(acc.setdefault(merged_left, {}), phi, _merge_exps(spare, leftover), scale)
+                    merged_left, factor = join
+                    _add_product(acc.setdefault(merged_left, {}), phi, _merge_exps(spare, factor), scale)
     entries = {left: kept for left, terms in acc.items() if (kept := {e: c for e, c in terms.items() if c})}
     memo[key] = entries
     return entries

@@ -528,6 +528,5 @@ def normal_form(p: Polynomial) -> Polynomial:
 def eq_mod_relations(p: Polynomial, q: Polynomial) -> bool:
     """True iff p and q represent the same class in the quotient ring."""
     if not isinstance(p, Polynomial) or not isinstance(q, Polynomial):
-        raise PreconditionError(f"eq_mod_relations expects polynomials, got {type(p).__name__} "
-                                f"and {type(q).__name__}")
+        raise PreconditionError(f"eq_mod_relations expects polynomials, got {type(p).__name__}, {type(q).__name__}")
     return normal_form(p - q).is_zero
