@@ -137,18 +137,17 @@ def test_every_ground_is_checked():
 
 
 @pytest.mark.parametrize("call, near_miss", [
-    (verify_certificate, "polynomial"),
-    (normal_form, "monomial"),
-    (lambda arg: rewrite_to_base(arg, 1), "polynomial"),
-    (lambda arg: block_ideal_slice(X3, 2, 1).contains(arg), "monomial"),
-    (lambda arg: eq_mod_relations(arg, P("x[1,2]")), "monomial"),
-    (lambda arg: eq_mod_relations(P("x[1,2]"), arg), "monomial"),
-], ids=["verify_certificate", "normal_form", "rewrite_to_base", "contains", "eq_mod_relations_p",
-        "eq_mod_relations_q"])
+    pytest.param(verify_certificate, P("x[1,2]"), id="verify_certificate"),
+    pytest.param(normal_form, Monomial.make(X3, 1, {(1, 2): 1}), id="normal_form"),
+    pytest.param(lambda arg: rewrite_to_base(arg, 1), P("x[1,2]"), id="rewrite_to_base"),
+    pytest.param(lambda arg: block_ideal_slice(X3, 2, 1).contains(arg), Monomial.make(X3, 1, {(1, 2): 1}),
+                 id="contains"),
+    pytest.param(lambda arg: eq_mod_relations(arg, P("x[1,2]")), Monomial.make(X3, 1, {(1, 2): 1}), id="eq_p"),
+    pytest.param(lambda arg: eq_mod_relations(P("x[1,2]"), arg), Monomial.make(X3, 1, {(1, 2): 1}), id="eq_q"),
+])
 def test_entry_points_check_their_argument_type(call, near_miss):
     # a wrong type is refused with PreconditionError, also under -O, never a bare AttributeError or TypeError
-    near = {"polynomial": P("x[1,2]"), "monomial": Monomial.make(X3, 1, {(1, 2): 1})}[near_miss]
-    for arg in (None, "x[1,2]", Block(X3, (1,)), near):
+    for arg in (None, "x[1,2]", Block(X3, (1,)), near_miss):
         with pytest.raises(PreconditionError, match="expects"):
             call(arg)
 
