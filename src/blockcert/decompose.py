@@ -32,8 +32,8 @@ from .ring import (
     Pair,
     Polynomial,
     _Q1,
-    _BaseKeys,
     _common_denominator,
+    _keys_for,
     _merge_exps,
     _trusted,
     rewrite_to_base,
@@ -273,8 +273,8 @@ def verify_certificate(cert: Certificate) -> bool:
     deg(input) - m * |left| * |right| for the block exponent m = 2g, and
     NF(input) = sum over entries of NF(block monomial) * NF(cofactor).  The
     normal form is a ring homomorphism, so this is NF(input - sum of
-    cofactor * block monomial) = 0.  The input is expanded on the packed
-    keys of ``ring._BaseKeys`` for its degree, scaled by one common
+    cofactor * block monomial) = 0.  The input is expanded on the shared
+    packed keys of ``ring._BaseKeys`` for its degree, scaled by one common
     denominator; then one pass over the entries takes each NF(cofactor)
     from ``normal_form``, places it on those keys with ``_BaseKeys.expand``,
     and adds its products with the expansion of the block's pairs^m as
@@ -299,7 +299,7 @@ def verify_certificate(cert: Certificate) -> bool:
             return False
     # Every product below has the input's degree, so keys for that degree never carry.
     ground = cert.ground
-    keys = _BaseKeys(ground, ground.min(), degree)
+    keys = _keys_for(ground, ground.min(), degree)
     # NF coefficients are integer combinations of their cofactor's, so the
     # cofactors' denominators clear them: the input is expanded before any NF.
     scale = _common_denominator((zeta, *(t for entry in cert.entries for t in entry.cofactor.terms)))

@@ -22,7 +22,7 @@ from typing import Iterable, Sequence
 
 from .combinatorics import _require_g, enumerate_blocks
 from .errors import PreconditionError, SizeLimitError
-from .ring import IndexSet, Polynomial, _BaseKeys, _common_denominator, _require_ground, normal_form
+from .ring import IndexSet, Polynomial, _common_denominator, _keys_for, _require_ground, normal_form
 
 SIZE_LIMIT = 1_000_000  # rows x columns of one slice's matrix
 
@@ -128,7 +128,7 @@ class BlockIdealSlice:
 
     @cached_property
     def _layout(self):
-        keys = _BaseKeys(self.ground, self.ground.min(), self.degree)
+        keys = _keys_for(self.ground, self.ground.min(), self.degree)
         return keys, {key: k for k, key in enumerate(keys.of_degree(self.degree))}
 
     @cached_property

@@ -332,9 +332,15 @@ class _BaseKeys:
     degree carries, and multiplying monomials is adding keys.  The first label's
     field is on top, so of two keys of one degree the larger comes first in
     ``Monomial.sort_key`` order.
+
+    The package takes its layouts from ``_shared_keys``, one per (ground, base,
+    field width), so one layout serves every degree whose bit length is its
+    width.  Each owns ``decoded``, packed key -> (exponents, sort bits), which
+    ``to_poly`` fills as it outputs keys: at most one entry per base monomial
+    of degree below 2^bits that the layout has output.
     """
 
-    __slots__ = ("ground", "base", "bits", "units")
+    __slots__ = ("ground", "base", "bits", "units", "decoded")
 
     def __init__(self, ground: IndexSet, base: Label, degree: int):
         self.ground = ground
@@ -346,6 +352,7 @@ class _BaseKeys:
             if lab != base:
                 shift -= bits
                 units[lab] = 1 << shift
+        self.decoded: dict[int, tuple[Exponents, int]] = {}
 
     def expand(self, terms: Iterable[Monomial], scale: int, top: int) -> dict[int, int]:
         """``scale`` times the sum of ``terms``, in the base variables: packed key -> nonzero coefficient.
@@ -438,28 +445,41 @@ class _BaseKeys:
         """The canonical sum of c/scale * x^key over ``acc``, whose values are nonzero.
 
         Each term sorts by its key with its degree above the fields: descending,
-        that is the order of ``Monomial.sort_key``.
+        that is the order of ``Monomial.sort_key``.  A key is decoded on its
+        first output only, and a coefficient c in -64..64 with ``scale`` 1 is
+        read from ``_UNIT_FRACTIONS``.
         """
-        ground, base, bits, units = self.ground, self.base, self.bits, self.units
-        top = bits * len(units)
+        ground, decoded = self.ground, self.decoded
         keyed = []
         for key, c in acc.items():
-            exps = []
-            degree = 0
-            rest = key
-            shift = top
-            for lab in units:
-                if not rest:
-                    break
-                shift -= bits
-                if e := rest >> shift:
-                    exps.append(((base, lab), e))
-                    degree += e
-                    rest -= e << shift
-            coeff = Fraction(c) if scale == 1 else Fraction(c, scale)  # the int case skips a gcd
-            keyed.append((key + (degree << top), _trusted(Monomial, ground=ground, coeff=coeff, exps=tuple(exps))))
+            entry = decoded.get(key)
+            if entry is None:
+                entry = decoded[key] = self._decode(key)
+            if scale == 1:  # the int case skips a gcd; c is nonzero, so a Fraction from the table is true
+                coeff = _UNIT_FRACTIONS.get(c) or Fraction(c)
+            else:
+                coeff = Fraction(c, scale)
+            keyed.append((entry[1], _trusted(Monomial, ground=ground, coeff=coeff, exps=entry[0])))
         keyed.sort(key=itemgetter(0), reverse=True)  # keys are distinct: the order is total
         return _trusted(Polynomial, ground=ground, terms=tuple([m for _, m in keyed]))
+
+    def _decode(self, key: int) -> tuple[Exponents, int]:
+        """The exponents of ``key``'s base monomial, and the key with its degree above the fields."""
+        base, bits, units = self.base, self.bits, self.units
+        top = bits * len(units)
+        exps = []
+        degree = 0
+        rest = key
+        shift = top
+        for lab in units:
+            if not rest:
+                break
+            shift -= bits
+            if e := rest >> shift:
+                exps.append(((base, lab), e))
+                degree += e
+                rest -= e << shift
+        return tuple(exps), key + (degree << top)
 
 
 def _signed_binomials(e: int) -> tuple[int, ...]:
@@ -473,17 +493,37 @@ def _signed_binomials(e: int) -> tuple[int, ...]:
 # A higher power's row is built after it is charged, and it is not kept.
 _SMALL_ROWS = tuple(_signed_binomials(e) for e in range(64))
 
+# The Fractions of the integers -64..64, built once at import and shared by
+# every output term whose coefficient is one of them with no denominator:
+# 28,365 of the 40,360 terms ``to_poly`` outputs over 300 cert-n4 inputs.
+_UNIT_FRACTIONS = {c: Fraction(c) for c in range(-64, 65)}
+
+
+# One layout per (ground, base, field width), each with the decode table that
+# ``to_poly`` fills; the same bound as ``_block_form``.  The recursion rewrites
+# over every sub-ground and base it reaches: 300 cert-n4 inputs use 41 layouts,
+# and three n = 5 inputs at the bound 49, so none is evicted while in use.
+@functools.lru_cache(maxsize=64)
+def _shared_keys(ground: IndexSet, base: Label, bits: int) -> _BaseKeys:
+    """The shared ``_BaseKeys`` over ``ground`` and ``base`` with ``bits``-wide fields."""
+    return _BaseKeys(ground, base, (1 << bits) - 1)  # the degree whose fields are bits wide
+
+
+def _keys_for(ground: IndexSet, base: Label, degree: int) -> _BaseKeys:
+    """The shared layout whose fields are wide enough for ``degree``."""
+    return _shared_keys(ground, base, degree.bit_length() or 1)
+
 
 # A ground of n labels has 2^(n-1) - 1 blocks up to transposition, 15 at n = 5,
 # and each field width in use has its own forms: 64 covers a few widths at n = 5.
 # One certificate merges its entries by block, so the cache pays off only when
-# one process verifies many certificates or Hilbert slices.
+# one process verifies many certificates or Hilbert slices.  A form is expanded
+# on the shared layout of its width, which it only reads.
 @functools.lru_cache(maxsize=64)
 def _block_form(ground: IndexSet, base: Label, bits: int, pairs: tuple[Pair, ...], power: int) -> Mapping[int, int]:
     """``_BaseKeys.block``, expanded once per key; a form above the budget raises and is not kept."""
     term = _trusted(Monomial, ground=ground, coeff=_Q1, exps=tuple((pair, power) for pair in pairs))
-    keys = _BaseKeys(ground, base, (1 << bits) - 1)  # the degree whose fields are bits wide
-    return MappingProxyType(keys.expand((term,), 1, power * len(pairs)))
+    return MappingProxyType(_shared_keys(ground, base, bits).expand((term,), 1, power * len(pairs)))
 
 
 def _to_base(ground: IndexSet, terms: tuple[Monomial, ...], base: Label) -> Polynomial:
@@ -496,7 +536,7 @@ def _to_base(ground: IndexSet, terms: tuple[Monomial, ...], base: Label) -> Poly
     above EXPANSION_LIMIT.
     """
     top = max((t.degree for t in terms), default=0)
-    keys = _BaseKeys(ground, base, top)
+    keys = _keys_for(ground, base, top)
     scale = _common_denominator(terms)
     return keys.to_poly(keys.expand(terms, scale, top), scale)
 

@@ -28,7 +28,7 @@ from blockcert import (
     split_lemma_check,
     verify_certificate,
 )
-from blockcert.ring import _BaseKeys, _block_form, _sorted_poly
+from blockcert.ring import _BaseKeys, _block_form, _shared_keys, _sorted_poly
 from helpers import eval_at, random_monomial, random_point, random_poly, relation_generators, standard_ground, sum_of
 
 X2 = IndexSet((1, 2))
@@ -397,6 +397,40 @@ def test_block_forms_are_kept_per_ground_base_and_width():
             for degree in (7, 8):
                 keys = _BaseKeys(ground, base, degree)
                 assert keys.block(pairs, 2) == keys.expand(rewrite_to_base(mono, base).terms, 1, 4)
+
+
+def test_decoded_keys_are_kept_per_ground_base_and_width():
+    # Label for label, the same monomials over grounds (1,2,3) and (2,3,5) pack to
+    # the same keys, and degrees 15/16 and 31/32 step the field width: each layout's
+    # decode table must give its own ground's labels and its own width's fields,
+    # whichever layout decodes a key first.  Coefficient 2 takes the shared
+    # Fractions, -5/3 the scaled path.
+    cases = []
+    for labels in ((1, 2, 3), (2, 3, 5)):
+        ground = IndexSet(labels)
+        a, b, c = labels
+        for degree in (15, 16, 31, 32):
+            for coeff in (2, Fraction(-5, 3)):
+                mono = Monomial.make(ground, coeff, {(a, b): degree - 3, (b, c): 2, (c, a): 1})
+                cases += [(mono, base) for base in labels]
+    for order in (cases, cases[::-1]):
+        _shared_keys.cache_clear()
+        for mono, base in order:
+            assert rewrite_to_base(mono, base) == _substituted(mono, base)
+            assert normal_form(mono.as_poly()) == _substituted(mono, mono.ground.min())
+
+
+def test_normal_form_coefficients_at_the_edges_of_the_shared_fractions():
+    # Integers -64..64 share one Fraction each: -65 and 65 are built afresh, and so
+    # is every coefficient with a denominator.  Each is a Fraction, and the terms
+    # pass the checked constructor, which checks their canonical order again.
+    for coeff in (-65, -64, 64, 65, Fraction(64, 3)):
+        mono = Monomial.make(X3, coeff, {(2, 3): 1})
+        nf = normal_form(mono.as_poly())
+        assert nf == _substituted(mono, 1)
+        assert sorted(t.coeff for t in nf.terms) == [-abs(coeff), abs(coeff)]
+        assert all(type(t.coeff) is Fraction for t in nf.terms)
+        assert Polynomial(X3, nf.terms) == nf
 
 
 # -- normal forms ------------------------------------------------------------
