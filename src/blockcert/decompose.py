@@ -10,7 +10,6 @@ nothing but normal forms, so the two sides act as independent witnesses.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product
 from typing import Iterator, NamedTuple
 
@@ -35,6 +34,7 @@ from .ring import (
     _common_denominator,
     _keys_for,
     _merge_exps,
+    _sorted_poly,
     _trusted,
     rewrite_to_base,
 )
@@ -77,15 +77,14 @@ class Certificate:
 # how the degree is spread over the pairs and not on the input coefficient.
 LABEL_LIMIT = 5
 
-# Most sub-problems (``_solve`` calls) one ``decompose`` solves, memo hits and
-# two-label closed forms included.  At n = 5, g = 2 and the bound, with the
+# Most sub-problems one ``decompose`` solves, memo hits and two-label closed
+# forms (in place or by a ``_solve`` call) included.  At n = 5, g = 2 and the bound, with the
 # memo, x[1,2]^8*x[2,3]^8*x[3,4]^7*x[4,5]^7*x[5,1]^7 takes 23,660 items; 48
 # seeded random monomials there take 928 to 389,094, with a median near
 # 31,600; and x[1,2]^37, the most measured, takes 1,197,599.
 CALL_LIMIT = 5_000_000
 
-Terms = dict[Exponents, int]
-Entries = dict[tuple[Label, ...], Terms]  # left part -> cofactor terms
+Entries = dict[tuple[Label, ...], dict[Exponents, int]]  # left part -> cofactor terms
 Memo = dict[tuple[tuple[Label, ...], Exponents], Entries]  # (labels, exponents) -> entries
 # (labels, pivot, outer left) -> (branch, inner left) -> (merged left, leftover pairs^m)
 Joins = dict[tuple, dict[tuple[str, tuple[Label, ...]], tuple[tuple[Label, ...], Exponents]]]
@@ -105,20 +104,19 @@ class _Recursion(NamedTuple):
         return cls(2 * g, {k: vanishing_bound(k, g) for k in range(2, n)}, iter(range(CALL_LIMIT)), {}, {})
 
 
-def _two_label_entries(u: Label, v: Label, exps: Exponents, m: int) -> Entries:
+def _two_label_term(labels: tuple[Label, ...], exps: Exponents, m: int) -> tuple[tuple[Label], Exponents, int]:
     """Closed form over two labels u < v: x[u,v]^a * x[v,u]^b with a+b >= m = 2g
-    becomes (-1)^b * x[u,v]^(a+b-m) on the block {u} x {v}.  ``exps`` holds
-    only those two pairs, and the coefficient is left to the caller.
-    ``decompose``'s bound check (at the top level) and the pivot and routing
-    rules (below it) guarantee a+b >= m."""
-    a = b = 0
+    becomes (-1)^b * x[u,v]^(a+b-m) on the block {u} x {v}, returned as the left
+    part (u,), the exponents and the sign.  ``exps`` holds only those two pairs,
+    and the coefficient is left to the caller.  ``decompose``'s bound check (at
+    the top level) and the pivot and routing rules (below it) guarantee a+b >= m."""
+    u, v = labels
+    residual, b = -m, 0
     for (i, _), e in exps:
-        if i == u:
-            a = e
-        else:
+        residual += e
+        if i != u:
             b = e
-    residual = a + b - m
-    return {(u,): {(((u, v), residual),) if residual else (): -1 if b & 1 else 1}}
+    return (u,), (((u, v), residual),) if residual else (), -1 if b & 1 else 1
 
 
 def merge_blocks(outer: Block, inner: Block, ground: IndexSet,
@@ -150,48 +148,50 @@ def merge_blocks(outer: Block, inner: Block, ground: IndexSet,
     return _trusted(Block, ground=ground, left=merged_left), leftover
 
 
-def _add_product(acc: Terms, terms: Terms, factor: Exponents, scale: int) -> None:
-    """Add ``scale`` times ``terms`` times the monomial ``factor`` into ``acc``; zero sums are kept."""
-    for exps, coeff in terms.items():
-        key = _merge_exps(exps, factor)
-        acc[key] = acc.get(key, 0) + scale * coeff
+def _join(known: dict, side: str, inner_left: tuple, outer: Block, sub: IndexSet, ground: IndexSet, m: int) -> tuple:
+    """Store and return ``_solve``'s join of a new block pair: merged left part and leftover pairs^m."""
+    merged, leftover = merge_blocks(outer, _trusted(Block, ground=sub, left=inner_left), ground, side)
+    return known.setdefault((side, inner_left), (merged.right if ground.elements[0] in merged.left else merged.left,
+                                                 tuple((pair, m) for pair in leftover)))
 
 
 def _solve(ground: IndexSet, exps: Exponents, run: _Recursion) -> Entries:
     """Nonzero certificate entries of the unit-coefficient monomial with
     ``exps`` over ``ground``, with integer terms over that ground set.
 
-    Takes one item of ``run.budget``, shared by the whole recursion, and
-    raises SizeLimitError when it is empty.  Two labels are solved in place
-    by their closed form.  The recursion is linear in the coefficient, so it
-    runs on unit-coefficient monomials, where every binomial, sign and closed
-    form is an integer, and ``decompose`` applies the input's coefficient
-    once.  Over three or more labels, each entry over the ground set minus
-    the pivot is lifted in one pass: each term of its cofactor, times the
-    pivot's pairs, is rewritten to the pivot's variables, each of those
-    terms is routed and solved, and each inner cofactor term, times its
-    spare factors, the join's leftover pairs^m and its integer coefficient,
-    is added into its merged block's entry.  Zero sums are dropped at
-    return.
+    Takes one item of ``run.budget``, shared by the whole recursion; an empty
+    budget raises StopIteration, which ``decompose`` reports as
+    SizeLimitError.  The recursion is linear in the coefficient, so it runs on
+    unit-coefficient monomials, where every binomial, sign and closed form is
+    an integer, and ``decompose`` applies the input's coefficient once.  Two
+    labels are solved by their closed form, ``_two_label_term``.  Over three
+    or more labels, each entry over the ground set minus the pivot is lifted
+    in one pass: each term of its cofactor, times the pivot's pairs, is
+    rewritten to the pivot's variables and each of those terms is routed to
+    one side.  A side of two labels is solved in place, with no call: it takes
+    its budget item and adds one term, from ``_two_label_term`` on the single
+    chosen factor.  A larger side is solved by a call and adds each inner
+    cofactor term.  Each term added into its merged block's entry is times
+    the spare factors, the join's leftover pairs^m and the integer
+    coefficient.  Zero sums are dropped at return.
 
-    ``run`` lives for one ``decompose`` call, whose block exponent m = 2g it
-    fixes, so neither table below keys on g.  ``run.memo`` holds the entries
-    of every sub-monomial over three or more labels solved so far, keyed on
-    its labels and exponents.  A hit still takes its item of the budget, and it
-    is looked up after the pivot choice and the split, so every sub-problem
-    still passes ``split_at``, where perfbench/tracing.py counts repeats.
-    Callers only read the returned maps, so a hit returns the stored one
-    without a copy.  ``run.joins`` holds, per (labels, pivot, outer left
-    part) and (branch, inner left part), the merged block's left part with
-    the smallest label kept on the right, and the leftover pairs^m, so
+    ``run`` lives for one ``decompose`` call and fixes its block exponent
+    m = 2g, so neither table keys on g.  ``run.memo`` holds the entries of
+    every sub-monomial over three or more labels solved so far, keyed on its
+    labels and exponents; callers only read them, so a hit returns the stored
+    map.  A hit still takes its budget item, and is looked up after the pivot
+    choice and the split, so every sub-problem passes ``split_at``, where
+    perfbench/tracing.py counts repeats.  ``run.joins`` holds, per (labels,
+    pivot, outer left part) and (branch, inner left part), the merged left
+    part with the smallest label on the right and the leftover pairs^m, so
     ``merge_blocks`` runs once per block pair in the call.
     """
-    if next(run.budget, None) is None:
-        raise SizeLimitError(f"decompose needs more than {CALL_LIMIT} steps, above its work budget")
+    m, bounds, budget, memo, joins = run
+    next(budget)  # an empty budget raises StopIteration, which decompose reports
     labels = ground.elements
     if len(labels) == 2:
-        return _two_label_entries(*labels, exps, run.m)
-    m, bounds, _, memo, joins = run
+        left, residual, sign = _two_label_term(labels, exps, m)
+        return {left: {residual: sign}}
     # Below, every Monomial, Block and IndexSet is built from parts validated
     # at the top-level call, so none of them is checked again.  The one
     # Monomial is what the select_pivot and split_at seams read.
@@ -202,7 +202,6 @@ def _solve(ground: IndexSet, exps: Exponents, run: _Recursion) -> Entries:
     if (solved := memo.get(key)) is not None:
         return solved
     outer_ground = ground.without(pivot)
-    first = labels[0]
     acc: Entries = {}
     for outer_left, theta in _solve(outer_ground, rest, run).items():
         outer_block = _trusted(Block, ground=outer_ground, left=outer_left)
@@ -219,14 +218,24 @@ def _solve(ground: IndexSet, exps: Exponents, run: _Recursion) -> Entries:
                 side, chosen, spare = branch_of_split(p, outer_block, left_bound, right_bound)
                 # chosen reaches the bound of its side plus the pivot, checked by branch_of_split
                 scale = p.coeff.numerator * coeff
-                for inner_left, phi in _solve(sub_grounds[side], chosen, run).items():
-                    if (join := known.get((side, inner_left))) is None:
-                        inner_block = _trusted(Block, ground=sub_grounds[side], left=inner_left)
-                        merged, leftover = merge_blocks(outer_block, inner_block, ground, side)
-                        join = known[side, inner_left] = (merged.right if first in merged.left else merged.left,
-                                                          tuple((pair, m) for pair in leftover))
-                    merged_left, factor = join
-                    _add_product(acc.setdefault(merged_left, {}), phi, _merge_exps(spare, factor), scale)
+                sub_ground = sub_grounds[side]
+                if len(sub_ground.elements) == 2:
+                    next(budget)
+                    inner_left, residual, sign = _two_label_term(sub_ground.elements, chosen, m)
+                    merged_left, factor = (known.get((side, inner_left))
+                                           or _join(known, side, inner_left, outer_block, sub_ground, ground, m))
+                    terms = acc.setdefault(merged_left, {})
+                    at = _merge_exps(residual, _merge_exps(spare, factor))
+                    terms[at] = terms.get(at, 0) + scale * sign
+                    continue
+                for inner_left, phi in _solve(sub_ground, chosen, run).items():
+                    merged_left, factor = (known.get((side, inner_left))
+                                           or _join(known, side, inner_left, outer_block, sub_ground, ground, m))
+                    terms = acc.setdefault(merged_left, {})
+                    extra = _merge_exps(spare, factor)
+                    for inner, c in phi.items():
+                        at = _merge_exps(inner, extra)
+                        terms[at] = terms.get(at, 0) + scale * c
     entries = {left: kept for left, terms in acc.items() if (kept := {e: c for e, c in terms.items() if c})}
     memo[key] = entries
     return entries
@@ -256,12 +265,14 @@ def decompose(mono: Monomial, g: int) -> Certificate:
             f"degree {mono.degree} below the vanishing bound {bound} for n={n}, g={g}"
         )
     ground = mono.ground
-    p, q = mono.coeff.numerator, mono.coeff.denominator
-    entries = _solve(ground, mono.exps, _Recursion.start(n, g))
+    try:
+        entries = _solve(ground, mono.exps, _Recursion.start(n, g))
+    except StopIteration:
+        raise SizeLimitError(f"decompose needs more than {CALL_LIMIT} steps, above its work budget") from None
     # the left parts come from the recursion, so the blocks are valid by construction
     return Certificate(ground, g, mono, tuple(
         CertificateEntry(_trusted(Block, ground=ground, left=left),
-                         Polynomial.from_map(ground, {e: Fraction(p * c, q) for e, c in entries[left].items()}))
+                         _sorted_poly(ground, [Monomial(ground, mono.coeff * c, e) for e, c in entries[left].items()]))
         for left in sorted(entries)
     ))
 

@@ -16,7 +16,6 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import itemgetter
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
 
@@ -370,17 +369,18 @@ class _BaseKeys:
         the most powers left go first, so every group is complete when its
         turn comes; equal keys merge, zero sums drop before a group is
         expanded further, and a group that cancels builds no row.  A level
-        is made when a group first lands on it, and each binomial row runs
-        in place, one running key per state.  Before a binomial row is
-        built, the expansion is charged top * (e + 1) per key of the group:
-        the products the row runs, times the bit growth of the coefficients.
-        Raises SizeLimitError as soon as the charges sum above EXPANSION_LIMIT.
-        Terms already in the base variables, such as a normal form's, land
-        on their keys with no row built and nothing charged.
+        is made when a group first lands on it (level 0 at the start), and
+        each binomial row runs in place, one running key per state.  Before
+        a binomial row is built, the expansion is charged top * (e + 1) per
+        key of the group: the products the row runs, times the bit growth of
+        the coefficients.  Raises SizeLimitError as soon as the charges sum
+        above EXPANSION_LIMIT.  A term in the base variables, such as a normal
+        form's, goes straight into the level-0 group: no row, no charge.
         """
         base, units = self.base, self.units
         # levels[k]: the groups with k folded powers left, {powers left: {key: coeff}}
-        levels: dict[int, dict[tuple[tuple[Pair, int], ...], dict[int, int]]] = {}
+        last: dict[int, int] = {}
+        levels: dict[int, dict[tuple[tuple[Pair, int], ...], dict[int, int]]] = {0: {(): last}}
         for t in terms:
             start = 0
             negate = 0
@@ -399,10 +399,11 @@ class _BaseKeys:
                         negate ^= e & 1
                     powers[i, j] = powers.get((i, j), 0) + e
             coeff = t.coeff.numerator * (scale // t.coeff.denominator)
-            group = levels.setdefault(len(powers), {}).setdefault(tuple(sorted(powers.items())), {})
+            group = (levels.setdefault(len(powers), {}).setdefault(tuple(sorted(powers.items())), {})
+                     if powers else last)  # no folded power: already in the base variables
             group[start] = group.get(start, 0) + (-coeff if negate else coeff)
         size = 0
-        for left in range(max(levels, default=0), 0, -1):
+        for left in range(max(levels), 0, -1):
             for powers, states in levels.get(left, {}).items():
                 if 0 in states.values():
                     states = {key: c for key, c in states.items() if c}
@@ -426,7 +427,6 @@ class _BaseKeys:
                     for bc in bcs:
                         nxt[at] = nxt.get(at, 0) + c * bc
                         at += step
-        last = levels.get(0, {}).get((), {})
         return {key: c for key, c in last.items() if c} if 0 in last.values() else last
 
     def block(self, pairs: tuple[Pair, ...], power: int) -> Mapping[int, int]:
@@ -444,24 +444,28 @@ class _BaseKeys:
     def to_poly(self, acc: Mapping[int, int], scale: int) -> Polynomial:
         """The canonical sum of c/scale * x^key over ``acc``, whose values are nonzero.
 
-        Each term sorts by its key with its degree above the fields: descending,
-        that is the order of ``Monomial.sort_key``.  A key is decoded on its
-        first output only, and a coefficient c in -64..64 with ``scale`` 1 is
-        read from ``_UNIT_FRACTIONS``.
+        Keys that have no decode entry yet are decoded, the keys are sorted by
+        their sort bits, descending (the order of ``Monomial.sort_key``), and
+        each term's ``Monomial`` is then built once, in that order.  With
+        ``scale`` 1 a coefficient skips the gcd, and one in -64..64 is read from
+        ``_UNIT_FRACTIONS`` (c is nonzero, so a Fraction from the table is true).
         """
         ground, decoded = self.ground, self.decoded
-        keyed = []
+        rows = []
         for key, c in acc.items():
             entry = decoded.get(key)
             if entry is None:
                 entry = decoded[key] = self._decode(key)
-            if scale == 1:  # the int case skips a gcd; c is nonzero, so a Fraction from the table is true
-                coeff = _UNIT_FRACTIONS.get(c) or Fraction(c)
-            else:
-                coeff = Fraction(c, scale)
-            keyed.append((entry[1], _trusted(Monomial, ground=ground, coeff=coeff, exps=entry[0])))
-        keyed.sort(key=itemgetter(0), reverse=True)  # keys are distinct: the order is total
-        return _trusted(Polynomial, ground=ground, terms=tuple([m for _, m in keyed]))
+            rows.append((entry[1], entry[0], c))
+        rows.sort(reverse=True)  # the sort bits are distinct, so only they are compared
+        terms = []
+        for _, exps, c in rows:
+            term = object.__new__(Monomial)  # built as _trusted builds it, inline: this runs per term
+            fields = term.__dict__
+            fields["ground"], fields["exps"] = ground, exps
+            fields["coeff"] = (_UNIT_FRACTIONS.get(c) or Fraction(c)) if scale == 1 else Fraction(c, scale)
+            terms.append(term)
+        return _trusted(Polynomial, ground=ground, terms=tuple(terms))
 
     def _decode(self, key: int) -> tuple[Exponents, int]:
         """The exponents of ``key``'s base monomial, and the key with its degree above the fields."""
@@ -549,8 +553,8 @@ def rewrite_to_base(mono: Monomial, base: Label) -> Polynomial:
     """
     if not isinstance(mono, Monomial):
         raise PreconditionError(f"rewrite_to_base expects a monomial, got {type(mono).__name__}")
-    if base not in mono.ground:
-        raise PreconditionError(f"base label {base} not in ground set {mono.ground.elements}")
+    if type(base) is not int or base not in mono.ground:  # exactly int: 1.0 and True would key base 1's layout
+        raise PreconditionError(f"base label {base!r} is not an integer label of ground set {mono.ground.elements}")
     return _to_base(mono.ground, (mono,), base)
 
 

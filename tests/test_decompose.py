@@ -87,8 +87,8 @@ def test_decompose_two_labels_equals_closed_form():
 
 
 def test_base_certificate_matches_closed_formula_sweep():
-    # The recursion solves every two-label sub-problem in place with
-    # _two_label_entries.  Over either label order (the first factor leaves the
+    # The recursion solves every two-label sub-problem with _two_label_term,
+    # in place when it is a routed side.  Over either label order (the first factor leaves the
     # smaller label or the larger) it must give decompose's two-label
     # certificate, which is the closed formula.
     dec = sys.modules["blockcert.decompose"]
@@ -106,7 +106,7 @@ def test_base_certificate_matches_closed_formula_sweep():
                     entry, = cert.entries
                     assert entry.block == Block(ground, (u,))
                     assert entry.cofactor == expected.as_poly()
-                    assert dec._two_label_entries(u, v, mono.exps, 2 * g) == {(u,): {expected.exps: sign}}
+                    assert dec._two_label_term((u, v), mono.exps, 2 * g) == ((u,), expected.exps, sign)
                     assert verify_certificate(cert)
 
 
@@ -317,6 +317,18 @@ def test_decompose_memo_solves_each_repeated_sub_monomial_once(monkeypatch):
     # every degree on one pair: without the memo the recursion takes 4,094 items
     mono = Monomial.make(X4, 1, {(1, 2): 22})
     assert budget_taken(monkeypatch, mono, 2)[1] == 1360
+
+
+@pytest.mark.parametrize("exps, items", [
+    ({(1, 2): 6, (2, 3): 6, (3, 4): 5, (4, 1): 5}, 39),
+    ({(1, 2): 8, (2, 3): 8, (3, 4): 7, (4, 5): 7, (5, 1): 7}, 23660),
+])
+def test_decompose_work_budget_takes_one_item_per_sub_problem(monkeypatch, exps, items):
+    # The n = 4 and n = 5 cycles: every sub-problem takes one item, memo hits and
+    # two-label sides solved in place included, so a leaf that skipped its item
+    # would move these counts.
+    ground = standard_ground(max(max(pair) for pair in exps))
+    assert budget_taken(monkeypatch, Monomial.make(ground, 1, exps), 2)[1] == items
 
 
 def test_decompose_memo_lives_in_one_call():

@@ -17,6 +17,7 @@ from blockcert import (
     PreconditionError,
     SizeLimitError,
     block_ideal_slice,
+    decompose,
     enumerate_blocks,
     eq_mod_relations,
     graded_report,
@@ -298,6 +299,21 @@ def test_rewrite_requires_member_base():
         rewrite_to_base(Monomial.make(X3, 1, {(1, 2): 1}), 9)
 
 
+def test_rewrite_refuses_a_base_that_is_not_an_int_label():
+    # 1.0 and True equal label 1, so a membership test alone let them through:
+    # the rewrite then printed x[1.0,2], and the shared layout it cached under a
+    # key equal to base 1's handed float labels to every later rewrite and
+    # normal form over the ground, so a valid decompose raised PreconditionError.
+    _shared_keys.cache_clear()
+    for base in (1.0, True, 2.0, "1", None):
+        for degree in (1, 6, 12, 15):
+            with pytest.raises(PreconditionError, match="integer label"):
+                rewrite_to_base(Monomial.make(X3, 1, {(2, 3): degree}), base)
+    nf = normal_form(P("x[2,3]^12"))
+    assert all(type(lab) is int for t in nf.terms for pair, _ in t.exps for lab in pair)
+    assert verify_certificate(decompose(Monomial.make(X3, 1, {(1, 2): 6, (2, 3): 6}), 2))
+
+
 def test_expansion_budget():
     # each of these ran for seconds (x[2,3]^9999) or without end before the budget
     for mono in (Monomial.make(X3, 1, {(2, 3): 9999}),
@@ -418,6 +434,50 @@ def test_decoded_keys_are_kept_per_ground_base_and_width():
         for mono, base in order:
             assert rewrite_to_base(mono, base) == _substituted(mono, base)
             assert normal_form(mono.as_poly()) == _substituted(mono, mono.ground.min())
+
+
+def test_to_poly_equals_from_map_of_its_accumulator():
+    # Seeded accumulators of base monomials with coefficients inside and outside
+    # -64..64, at scale 1 (the shared Fractions) and above (divided once); each
+    # is output twice, so keys are decoded on the first output and read after.
+    rng = random.Random(29)
+    for n in (2, 3, 4):
+        ground = standard_ground(n)
+        for base in ground:
+            keys = _BaseKeys(ground, base, 15)
+            others = [lab for lab in ground if lab != base]
+            for scale in (1, 1, 3, 8):
+                acc, expected = {}, {}
+                for _ in range(rng.randint(0, 12)):
+                    powers = [rng.randint(0, 5) for _ in others]
+                    c = rng.choice([1, -1]) * rng.choice([rng.randint(1, 64), rng.randint(65, 10**6)])
+                    acc[sum(e * keys.units[lab] for lab, e in zip(others, powers))] = c
+                    expected[tuple(((base, lab), e) for lab, e in zip(others, powers) if e)] = Fraction(c, scale)
+                for _ in range(2):
+                    poly = keys.to_poly(acc, scale)
+                    assert poly == Polynomial.from_map(ground, expected)
+                    assert all(type(t.coeff) is Fraction for t in poly.terms)
+                    assert Polynomial(ground, poly.terms) == poly
+
+
+def test_normal_form_of_base_terms_mixed_with_folded_terms():
+    # Terms in the base variables go straight into the level-0 group, where the
+    # folded terms' expansions land: mixed in one normal form they must add up
+    # as they do separately, and give zero when everything cancels.
+    rng = random.Random(31)
+    for n in (3, 4):
+        ground = standard_ground(n)
+        for _ in range(12):
+            folded = sum_of(ground, [random_monomial(rng, ground, rng.randint(1, 6)) for _ in range(3)])
+            nf = normal_form(folded)
+            # x[j,1] is in the base variables too, with the sign of its power
+            base_terms = sum_of(ground, [Monomial.make(ground, rng.choice([-2, -1, 1, 3]),
+                                                       {rng.choice([(1, j), (j, 1)]): rng.randint(1, 6)})
+                                         for j in ground.elements[1:]])
+            cancelling = base_terms - Polynomial(ground, nf.terms[::2])
+            expected = sum((_substituted(t, 1) for t in (*folded.terms, *cancelling.terms)), Polynomial.zero(ground))
+            assert normal_form(folded + cancelling) == expected == nf + normal_form(cancelling)
+            assert normal_form(folded - nf).is_zero
 
 
 def test_normal_form_coefficients_at_the_edges_of_the_shared_fractions():
