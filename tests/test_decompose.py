@@ -303,7 +303,8 @@ def test_decompose_work_budget(monkeypatch):
     dec = sys.modules["blockcert.decompose"]
     mono = Monomial.make(X4, Fraction(-1, 2), {(1, 2): 6, (2, 3): 6, (3, 4): 5, (4, 1): 5})
     expected, items = budget_taken(monkeypatch, mono, 2)
-    assert items > 1
+    # every sub-problem takes one item, two-label sides solved in place included
+    assert items == 39
     # the budget counts the items of one decompose: exactly enough passes, twice in a row
     monkeypatch.setattr(dec, "CALL_LIMIT", items)
     assert decompose(mono, 2) == expected
@@ -317,18 +318,9 @@ def test_decompose_memo_solves_each_repeated_sub_monomial_once(monkeypatch):
     # every degree on one pair: without the memo the recursion takes 4,094 items
     mono = Monomial.make(X4, 1, {(1, 2): 22})
     assert budget_taken(monkeypatch, mono, 2)[1] == 1360
-
-
-@pytest.mark.parametrize("exps, items", [
-    ({(1, 2): 6, (2, 3): 6, (3, 4): 5, (4, 1): 5}, 39),
-    ({(1, 2): 8, (2, 3): 8, (3, 4): 7, (4, 5): 7, (5, 1): 7}, 23660),
-])
-def test_decompose_work_budget_takes_one_item_per_sub_problem(monkeypatch, exps, items):
-    # The n = 4 and n = 5 cycles: every sub-problem takes one item, memo hits and
-    # two-label sides solved in place included, so a leaf that skipped its item
-    # would move these counts.
-    ground = standard_ground(max(max(pair) for pair in exps))
-    assert budget_taken(monkeypatch, Monomial.make(ground, 1, exps), 2)[1] == items
+    # the n = 5 cycle, whose sub-recursion reaches four labels: 220,030 without the memo
+    cycle = Monomial.make(standard_ground(5), 1, {(1, 2): 8, (2, 3): 8, (3, 4): 7, (4, 5): 7, (5, 1): 7})
+    assert budget_taken(monkeypatch, cycle, 2)[1] == 23660
 
 
 def test_decompose_memo_lives_in_one_call():
