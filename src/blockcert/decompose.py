@@ -78,10 +78,10 @@ class Certificate:
 LABEL_LIMIT = 5
 
 # Most sub-problems one ``decompose`` solves, memo hits and two-label closed
-# forms (in place or by a ``_solve`` call) included.  At n = 5, g = 2 and the bound, with the
-# memo, x[1,2]^8*x[2,3]^8*x[3,4]^7*x[4,5]^7*x[5,1]^7 takes 23,660 items; 48
-# seeded random monomials there take 928 to 389,094, with a median near
-# 31,600; and x[1,2]^37, the most measured, takes 1,197,599.
+# forms (in place or by a ``_solve`` call) included.  At n = 5, g = 2 and the
+# bound, with the memo, x[1,2]^8*x[2,3]^8*x[3,4]^7*x[4,5]^7*x[5,1]^7 takes
+# 23,660 items; 48 seeded random monomials there take 928 to 389,094, with a
+# median near 31,600; and x[1,2]^37, the most measured, takes 1,197,599.
 CALL_LIMIT = 5_000_000
 
 Entries = dict[tuple[Label, ...], dict[Exponents, int]]  # left part -> cofactor terms
@@ -171,7 +171,7 @@ def _solve(ground: IndexSet, exps: Exponents, run: _Recursion) -> Entries:
     one side.  A side of two labels is solved in place, with no call: it takes
     its budget item and adds one term, from ``_two_label_term`` on the single
     chosen factor.  A larger side is solved by a call and adds each inner
-    cofactor term.  Each term added into its merged block's entry is times
+    cofactor term.  Every term added into its merged block's entry carries
     the spare factors, the join's leftover pairs^m and the integer
     coefficient.  Zero sums are dropped at return.
 
