@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator
 
 from .errors import PreconditionError, SizeLimitError
 from .ring import Exponents, IndexSet, Label, Monomial, Pair, _Q1, _require_ground, _trusted
@@ -114,13 +114,7 @@ def split_at(mono: Monomial, pivot: Label) -> tuple[Exponents, Exponents]:
             tuple(item for item in mono.exps if pivot not in item[0]))
 
 
-class BranchChoice(NamedTuple):
-    side: str  # "H" routes to the left part, "W" to the right part
-    chosen: Exponents  # the factors x[pivot,j] with j on that side
-    spare: Exponents  # the other factors
-
-
-def branch_of_split(mono: Monomial, outer: Block, left_bound: int, right_bound: int) -> BranchChoice:
+def branch_of_split(mono: Monomial, outer: Block, left_bound: int, right_bound: int) -> tuple[str, Exponents, Exponents]:
     """Route a base-variable monomial to one side of the outer block.
 
     ``outer`` must be a block of the ground set of ``mono`` minus one label,
@@ -129,9 +123,10 @@ def branch_of_split(mono: Monomial, outer: Block, left_bound: int, right_bound: 
     ``vanishing_bound(h + 1, g)`` = g*h*(h+1) - h + 1 and ``right_bound`` is
     ``vanishing_bound(w + 1, g)``.  Whenever deg >= n(n-1)g - n + 2 - 2g*h*w,
     the left total reaches ``left_bound`` ("H") or the right total reaches
-    ``right_bound`` ("W").  Ties prefer H.  Returns the side with the factors
-    of ``mono`` on it, whose degree reaches that side's bound, and the spare
-    factors.
+    ``right_bound`` ("W").  Ties prefer H.  Returns (side, chosen, spare):
+    "H" routes to the left part and "W" to the right part, ``chosen`` holds
+    the factors x[pivot,j] with j on that side, whose degree reaches its
+    bound, and ``spare`` the other factors.
     """
     left = outer.left
     on_left, on_right = [], []
@@ -145,10 +140,10 @@ def branch_of_split(mono: Monomial, outer: Block, left_bound: int, right_bound: 
             on_right.append(item)
             right_degree += e
     if left_degree >= left_bound:
-        return BranchChoice("H", tuple(on_left), tuple(on_right))
+        return "H", tuple(on_left), tuple(on_right)
     if right_degree < right_bound:
         raise RuntimeError("internal consistency failure: neither side reaches its bound")
-    return BranchChoice("W", tuple(on_right), tuple(on_left))
+    return "W", tuple(on_right), tuple(on_left)
 
 
 def iter_compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:

@@ -148,13 +148,6 @@ def merge_blocks(outer: Block, inner: Block, ground: IndexSet,
     return _trusted(Block, ground=ground, left=merged_left), leftover
 
 
-def _join(known: dict, side: str, inner_left: tuple, outer: Block, sub: IndexSet, ground: IndexSet, m: int) -> tuple:
-    """Store and return ``_solve``'s join of a new block pair: merged left part and leftover pairs^m."""
-    merged, leftover = merge_blocks(outer, _trusted(Block, ground=sub, left=inner_left), ground, side)
-    return known.setdefault((side, inner_left), (merged.right if ground.elements[0] in merged.left else merged.left,
-                                                 tuple((pair, m) for pair in leftover)))
-
-
 def _solve(ground: IndexSet, exps: Exponents, run: _Recursion) -> Entries:
     """Nonzero certificate entries of the unit-coefficient monomial with
     ``exps`` over ``ground``, with integer terms over that ground set.
@@ -169,10 +162,10 @@ def _solve(ground: IndexSet, exps: Exponents, run: _Recursion) -> Entries:
     in one pass: each term of its cofactor, times the pivot's pairs, is
     rewritten to the pivot's variables and each of those terms is routed to
     one side.  A side of two labels is solved in place, with no call: it takes
-    its budget item and adds one term, from ``_two_label_term`` on the single
-    chosen factor.  A larger side is solved by a call and adds each inner
-    cofactor term.  Every term added into its merged block's entry carries
-    the spare factors, the join's leftover pairs^m and the integer
+    its budget item and gives a one-term entry, from ``_two_label_term`` on
+    the single chosen factor.  A larger side is solved by a call.  One
+    loop then adds each inner cofactor term into its merged block's entry,
+    times the spare factors, the join's leftover pairs^m and the integer
     coefficient.  Zero sums are dropped at return.
 
     ``run`` lives for one ``decompose`` call and fixes its block exponent
@@ -183,8 +176,9 @@ def _solve(ground: IndexSet, exps: Exponents, run: _Recursion) -> Entries:
     choice and the split, so every sub-problem passes ``split_at``, where
     perfbench/tracing.py counts repeats.  ``run.joins`` holds, per (labels,
     pivot, outer left part) and (branch, inner left part), the merged left
-    part with the smallest label on the right and the leftover pairs^m, so
-    ``merge_blocks`` runs once per block pair in the call.
+    part with the smallest label on the right and the leftover pairs^m; the
+    loop looks the join up there and makes it with ``merge_blocks`` on a
+    miss, so that runs once per block pair in the call.
     """
     m, bounds, budget, memo, joins = run
     next(budget)  # an empty budget raises StopIteration, which decompose reports
@@ -222,15 +216,16 @@ def _solve(ground: IndexSet, exps: Exponents, run: _Recursion) -> Entries:
                 if len(sub_ground.elements) == 2:
                     next(budget)
                     inner_left, residual, sign = _two_label_term(sub_ground.elements, chosen, m)
-                    merged_left, factor = (known.get((side, inner_left))
-                                           or _join(known, side, inner_left, outer_block, sub_ground, ground, m))
-                    terms = acc.setdefault(merged_left, {})
-                    at = _merge_exps(residual, _merge_exps(spare, factor))
-                    terms[at] = terms.get(at, 0) + scale * sign
-                    continue
-                for inner_left, phi in _solve(sub_ground, chosen, run).items():
-                    merged_left, factor = (known.get((side, inner_left))
-                                           or _join(known, side, inner_left, outer_block, sub_ground, ground, m))
+                    inner_entries = ((inner_left, {residual: sign}),)
+                else:
+                    inner_entries = _solve(sub_ground, chosen, run).items()
+                for inner_left, phi in inner_entries:
+                    if (join := known.get((side, inner_left))) is None:
+                        inner_block = _trusted(Block, ground=sub_ground, left=inner_left)
+                        merged, leftover = merge_blocks(outer_block, inner_block, ground, side)
+                        join = known[side, inner_left] = (merged.right if labels[0] in merged.left else merged.left,
+                                                          tuple((pair, m) for pair in leftover))
+                    merged_left, factor = join
                     terms = acc.setdefault(merged_left, {})
                     extra = _merge_exps(spare, factor)
                     for inner, c in phi.items():
@@ -296,7 +291,8 @@ def verify_certificate(cert: Certificate) -> bool:
     normal form are charged as they run, before each binomial row is built,
     and the products of block expansion keys by normal-form terms are
     counted, summed over the entries, before each entry's are taken: a
-    charge or a count above EXPANSION_LIMIT raises SizeLimitError.
+    charge or a count above EXPANSION_LIMIT raises SizeLimitError, and the
+    count's message names how many of the entries it has summed.
     """
     if not isinstance(cert, Certificate):
         raise PreconditionError(f"verify_certificate expects a certificate, got {type(cert).__name__}")
@@ -316,14 +312,14 @@ def verify_certificate(cert: Certificate) -> bool:
     scale = _common_denominator((zeta, *(t for entry in cert.entries for t in entry.cofactor.terms)))
     acc = keys.expand((zeta,), -scale, degree)
     products = 0
-    for entry in cert.entries:
+    for counted, entry in enumerate(cert.entries, 1):
         cofactor = keys.expand(ring.normal_form(entry.cofactor).terms, scale, entry.cofactor.degree).items()
         block = keys.block(entry.block.pairs, m)
         products += len(block) * len(cofactor)
         if products > EXPANSION_LIMIT:
             raise SizeLimitError(
-                f"multiplying block expansions by cofactor normal forms takes {products} "
-                f"products, above the limit {EXPANSION_LIMIT}"
+                f"multiplying block expansions by cofactor normal forms takes {products} products, "
+                f"above the limit {EXPANSION_LIMIT}, in the first {counted} of {len(cert.entries)} entries"
             )
         for block_key, block_coeff in block.items():
             for key, coeff in cofactor:

@@ -322,15 +322,15 @@ def _common_denominator(terms: Iterable[Monomial]) -> int:
 
 
 class _BaseKeys:
-    """The packed integer key of every base monomial over ``ground`` of degree at most ``degree``.
+    """The packed integer key of every base monomial over ``ground`` of degree below 2^bits.
 
     A monomial in the variables x[base, lab] is keyed by one integer with a
     ``bits``-wide field per non-base label, holding its exponent; ``units``
-    maps each label to 1 << (its field's offset).  The fields are as wide as
-    the bit length of ``degree``, so no exponent of a product within that
-    degree carries, and multiplying monomials is adding keys.  The first label's
-    field is on top, so of two keys of one degree the larger comes first in
-    ``Monomial.sort_key`` order.
+    maps each label to 1 << (its field's offset).  ``_keys_for`` takes the
+    width from the bit length of the degree, so no exponent of a product
+    within that degree carries, and multiplying monomials is adding keys.
+    The first label's field is on top, so of two keys of one degree the
+    larger comes first in ``Monomial.sort_key`` order.
 
     The package takes its layouts from ``_shared_keys``, one per (ground, base,
     field width), so one layout serves every degree whose bit length is its
@@ -341,10 +341,10 @@ class _BaseKeys:
 
     __slots__ = ("ground", "base", "bits", "units", "decoded")
 
-    def __init__(self, ground: IndexSet, base: Label, degree: int):
+    def __init__(self, ground: IndexSet, base: Label, bits: int):
         self.ground = ground
         self.base = base
-        self.bits = bits = degree.bit_length() or 1
+        self.bits = bits
         self.units = units = {}
         shift = bits * (len(ground) - 1)
         for lab in ground.elements:  # a plain loop: it runs once per rewrite, and is the cheapest build
@@ -510,7 +510,7 @@ _UNIT_FRACTIONS = {c: Fraction(c) for c in range(-64, 65)}
 @functools.lru_cache(maxsize=64)
 def _shared_keys(ground: IndexSet, base: Label, bits: int) -> _BaseKeys:
     """The shared ``_BaseKeys`` over ``ground`` and ``base`` with ``bits``-wide fields."""
-    return _BaseKeys(ground, base, (1 << bits) - 1)  # the degree whose fields are bits wide
+    return _BaseKeys(ground, base, bits)
 
 
 def _keys_for(ground: IndexSet, base: Label, degree: int) -> _BaseKeys:

@@ -79,6 +79,8 @@ def test_parse_errors_carry_position():
         parse_poly("   ", X3)
     with pytest.raises(ParseError):
         parse_poly("x[1,2]^", X3)
+    with pytest.raises(ParseError, match=r"denominator must be a positive integer \(at position 2\)"):
+        parse_poly("1/0*x[1,2]", X3)
     # only the ASCII digits 0-9 are digits: a superscript two, a full-width one
     for text, pos in (("x[1,2]^\u00b2", 7), ("x[\uff11,2]", 2), ("\uff13*x[1,2]", 0)):
         with pytest.raises(ParseError, match="unexpected character") as info:
@@ -328,6 +330,8 @@ def test_exit_codes_for_errors(capsys, tmp_path, monkeypatch):
     # parse error -> 2
     code, _, err = run_cli(capsys, "nf", "--ground", "1,2,3", "x[1,1]")
     assert code == 2 and "equal indices" in err
+    code, _, err = run_cli(capsys, "nf", "--ground", "1,2,3", "1/0*x[1,2]")
+    assert code == 2 and "denominator must be a positive integer (at position 2)" in err
     # precondition -> 3
     code, _, err = run_cli(capsys, "decompose", "--ground", "1,2,3", "--g", "2", "x[1,2]^3")
     assert code == 3 and "vanishing bound" in err
@@ -362,6 +366,9 @@ def test_exit_codes_for_errors(capsys, tmp_path, monkeypatch):
                              "--dmin", "0", "--dmax", "100000000")
     assert code == 3 and out == "" and "above the limit" in err
     assert time.perf_counter() - start < 5
+    # an empty degree range -> 3: --dmax defaults to the bound plus one, 12 at n = 3, g = 2
+    code, out, err = run_cli(capsys, "hilbert", "--ground", "1,2,3", "--g", "2", "--dmin", "20")
+    assert code == 3 and out == "" and "empty degree range 20..12" in err
     # digits outside 0-9 -> 2, never read as numbers
     code, _, err = run_cli(capsys, "nf", "--ground", "1,2,3", "x[1,2]^\u00b2")
     assert code == 2 and "position 7" in err
@@ -483,6 +490,23 @@ def test_verify_counts_block_by_cofactor_products(capsys, tmp_path):
     code, out, err = run_cli(capsys, "verify", str(path))
     assert code == 3 and out == "" and "66922185 products" in err
     assert time.perf_counter() - start < 5
+
+
+def test_verify_product_budget_names_the_entries_counted(capsys, tmp_path):
+    # The entry with 66,922,185 products sits between two cheap ones of degree
+    # 216 - 16 * 4: the count crosses the limit at the second of three entries,
+    # so the message is a partial sum and says so.
+    cheap = '{"left":[%d],"cofactor":{"terms":[{"coeff":"1","exps":[[[%s],152]]}]}}'
+    text = ('{"ground":[1,2,3,4,5],"g":8,"input":{"terms":[{"coeff":"1","exps":[[[1,2],216]]}]},"entries":['
+            + cheap % (1, "2,3") + ',{"left":[2,3],"cofactor":{"terms":[{"coeff":"1","exps":[[[2,3],60],[[4,5],60]]}]}},'
+            + cheap % (4, "1,2") + ']}')
+    path = tmp_path / "cert.json"
+    path.write_text(text, encoding="utf-8")
+    message = r"takes 66922338 products, above the limit 10000000, in the first 2 of 3 entries$"
+    with pytest.raises(SizeLimitError, match=message):
+        verify_certificate(certificate_from_json(json.loads(text)))
+    code, out, err = run_cli(capsys, "verify", str(path))
+    assert code == 3 and out == "" and "in the first 2 of 3 entries" in err
 
 
 def test_verify_keeps_block_forms_of_each_field_width(capsys, tmp_path):

@@ -140,7 +140,7 @@ def test_branch_of_split_examples():
     assert branch_of_split(m, outer, *bounds) == ("H", (((1, 2), 7),), ())
     # ties prefer H: 4 on the left meets the bound even with 3 on the right
     m = Monomial.make(X3, 1, {(1, 2): 4, (1, 3): 3})
-    assert branch_of_split(m, outer, *bounds).side == "H"
+    assert branch_of_split(m, outer, *bounds)[0] == "H"
 
 
 def test_branch_of_split_partitions_the_factors():

@@ -408,6 +408,13 @@ def test_malformed_certificates_rejected_at_construction():
         Certificate(X3, 2, mono, (entry,))
     with pytest.raises(MalformedCertificateError):
         Certificate(X2, 2, mono, (entry, entry))
+    with pytest.raises(MalformedCertificateError, match="CertificateEntry"):
+        Certificate(X2, 2, mono, ((entry.block, entry.cofactor),))
+    # an entry whose block or cofactor is over another ground than the input's
+    mono3 = Monomial.make(X3, 1, {(1, 2): 11})
+    for other in (entry, CertificateEntry(Block(X3, (1,)), Polynomial.constant(X2, 1))):
+        with pytest.raises(MalformedCertificateError, match="entry ground set"):
+            Certificate(X3, 2, mono3, (other,))
 
 
 def test_verified_certificate_witnesses_ideal_membership():

@@ -16,7 +16,7 @@ EXPORTED = {
 
 # names that stay in their own modules, where the recursion and the tests reach them
 INTERNAL = {
-    "blockcert.combinatorics": ("split_at", "select_pivot", "branch_of_split", "BranchChoice",
+    "blockcert.combinatorics": ("split_at", "select_pivot", "branch_of_split",
                                 "iter_compositions", "sample_composition"),
     "blockcert.decompose": ("merge_blocks",),
     "blockcert.hilbert": ("IntRowSpace",),

@@ -9,6 +9,7 @@ from blockcert import (
     BlockIdealSlice,
     IndexSet,
     Monomial,
+    Polynomial,
     PreconditionError,
     SizeLimitError,
     block_ideal_slice,
@@ -234,6 +235,8 @@ def test_slice_rejects_wrong_degree_and_ground():
         slice_.contains(Monomial.make(X3, 1, {(1, 2): 3}).as_poly())
     with pytest.raises(PreconditionError):
         slice_.contains(Monomial.make(X2, 1, {(1, 2): 11}).as_poly())
+    # zero has no degree, and lies in every slice
+    assert slice_.contains(Polynomial(X3, ()))
 
 
 def test_slice_membership_below_bound_detects_nonmembers():
