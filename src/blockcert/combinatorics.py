@@ -78,11 +78,9 @@ def enumerate_blocks(ground: IndexSet) -> list[Block]:
     _require_ground(ground)
     labels = ground.elements
     n = len(labels)
-    out = []
-    for mask in range(1, (1 << n) - 1):
-        left = tuple(labels[k] for k in range(n) if mask >> k & 1)
-        out.append(Block(ground, left))
-    return out
+    # every mask picks an ascending, nonempty, proper subset of the checked ground
+    return [_trusted(Block, ground=ground, left=tuple(labels[k] for k in range(n) if mask >> k & 1))
+            for mask in range(1, (1 << n) - 1)]
 
 
 def _degree_avoiding(mono: Monomial, label: Label) -> int:

@@ -263,7 +263,8 @@ def decompose(mono: Monomial, g: int) -> Certificate:
     try:
         entries = _solve(ground, mono.exps, _Recursion.start(n, g))
     except StopIteration:
-        raise SizeLimitError(f"decompose needs more than {CALL_LIMIT} steps, above its work budget") from None
+        raise SizeLimitError(f"decompose needs more than {CALL_LIMIT} steps, above its work budget, "
+                             f"for a degree-{mono.degree} monomial on {n} labels at g={g}") from None
     # the left parts come from the recursion, so the blocks are valid by construction
     return Certificate(ground, g, mono, tuple(
         CertificateEntry(_trusted(Block, ground=ground, left=left),

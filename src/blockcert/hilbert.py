@@ -43,12 +43,13 @@ def dim_ring_graded(n: int, d: int) -> int:
 
 
 class IntRowSpace:
-    """Row space over the integers with exact, division-free reduction.
+    """Row space over the integers with exact, fraction-free reduction.
 
     Stored rows form an echelon basis: each has a distinct pivot column, its
     first nonzero entry, is zero before it, has gcd one and positive pivot.
-    Rows are kept in ascending pivot order so that ``reduce`` clears one pivot
-    at a time; rank and membership need no back-reduction.
+    Rows are kept in ascending pivot order so that ``_reduce`` finds the
+    basis row of a column by bisection; rank and membership need no
+    back-reduction.  The only divisions are by scalar gcds, which are exact.
     """
 
     def __init__(self, ncols: int):
@@ -60,28 +61,34 @@ class IntRowSpace:
     def rank(self) -> int:
         return len(self.rows)
 
-    def reduce(self, row: Sequence[int]) -> list[int]:
-        """Clear pivot columns of ``row`` by cross-multiplication, left to right.
+    def _reduce(self, row: Sequence[int]) -> tuple[list[int], int | None]:
+        """Clear the pivot columns ``row`` reaches, left to right.
 
-        Stops at the first nonzero entry in a non-pivot column: every entry
-        before it is zero, so the row is independent of the basis and that
-        entry is its pivot.  The result is zero exactly when ``row`` lies in
-        the span.
+        Each step finds the row's leading column.  If a basis row has its
+        pivot there, both rows are zero before it, so the suffix is
+        cross-multiplied by the pivot pair over its gcd and the scan goes on
+        after it; pivots where the row is already zero are skipped.
+        Otherwise every entry before that column is zero, so the row is
+        independent of the basis and the column is its pivot.  Returns the
+        reduced row and that column, or None when ``row`` lies in the span.
         """
         out = list(row)
         start = 0
-        for basis_row, col in zip(self.rows, self.pivot_cols):
-            if any(out[start:col]):
-                return out
-            if out[col]:
-                # both rows are zero before col, so only the suffix changes
-                a, b = basis_row[col], out[col]
-                out[col:] = [x * a - y * b for x, y in zip(out[col:], basis_row[col:])]
+        while (col := next(filter(out.__getitem__, range(start, len(out))), None)) is not None:
+            at = bisect.bisect_left(self.pivot_cols, col)
+            if at == len(self.pivot_cols) or self.pivot_cols[at] != col:
+                break
+            basis_row = self.rows[at]
+            a, b = basis_row[col], out[col]
+            g = math.gcd(a, b)
+            a, b = a // g, b // g
+            out[col:] = [x * a - y * b for x, y in zip(out[col:], basis_row[col:])]
             start = col + 1
-        return out
+        return out, col
 
     @staticmethod
     def _normalize(row: list[int], pivot_col: int) -> list[int]:
+        """Divide by the entries' gcd, with the sign that makes the pivot positive."""
         scale = math.gcd(*row)
         if row[pivot_col] < 0:
             scale = -scale
@@ -89,8 +96,7 @@ class IntRowSpace:
 
     def add(self, row: Sequence[int]) -> bool:
         """Insert a row; returns True when it enlarges the span."""
-        reduced = self.reduce(row)
-        pivot_col = next((c for c, x in enumerate(reduced) if x), None)
+        reduced, pivot_col = self._reduce(row)
         if pivot_col is None:
             return False
         at = bisect.bisect_right(self.pivot_cols, pivot_col)
@@ -99,7 +105,7 @@ class IntRowSpace:
         return True
 
     def contains(self, row: Sequence[int]) -> bool:
-        return not any(self.reduce(row))
+        return self._reduce(row)[1] is None
 
 
 def _require_scope(ground: IndexSet, g: int, degrees: Iterable[int]) -> None:

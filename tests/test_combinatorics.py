@@ -60,6 +60,10 @@ def test_enumerate_blocks_order_and_counts():
     # each block partitions the ground set
     for b in enumerate_blocks(X4):
         assert sorted(b.left + b.right) == list(X4)
+    # built unchecked, yet equal to what the checked constructor builds
+    for ground in (IndexSet((1, 2)), X3, X4, IndexSet((0, 3, 7, 8, 20))):
+        for b in enumerate_blocks(ground):
+            assert b == Block(ground, b.left)
     # deterministic
     assert enumerate_blocks(X4) == enumerate_blocks(X4)
 

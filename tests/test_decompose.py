@@ -310,7 +310,8 @@ def test_decompose_work_budget(monkeypatch):
     assert decompose(mono, 2) == expected
     assert decompose(mono, 2) == expected
     monkeypatch.setattr(dec, "CALL_LIMIT", items - 1)
-    with pytest.raises(SizeLimitError, match=f"more than {items - 1} steps, above its work budget"):
+    with pytest.raises(SizeLimitError, match=f"more than {items - 1} steps, above its work budget, "
+                                             "for a degree-22 monomial on 4 labels at g=2"):
         decompose(mono, 2)
 
 

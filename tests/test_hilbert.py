@@ -1,6 +1,7 @@
 """Exact graded dimensions and the integer row-space engine."""
 
 from fractions import Fraction
+import math
 import random
 
 import pytest
@@ -60,8 +61,29 @@ def _rational_rank(matrix, ncols):
     return rank
 
 
+def _assert_echelon(space):
+    """The invariants of IntRowSpace's docstring, on its stored rows."""
+    assert space.pivot_cols == sorted(set(space.pivot_cols)) and len(space.rows) == len(space.pivot_cols)
+    for row, col in zip(space.rows, space.pivot_cols):
+        assert len(row) == space.ncols and not any(row[:col]) and row[col] > 0
+        assert math.gcd(*row) == 1
+
+
 def test_int_row_space_matches_rational_rank():
     rng = random.Random(31)
+
+    # pivot pairs that share a factor, which the reduction divides out: in
+    # `shared`, 3 meets 12 and -18, and 8 meets 6 and 12; the random rows
+    # lead with multiples of 6
+    shared = [[6, 4, -2, 8], [12, 0, 5, 1], [-18, 3, 3, 0], [0, 6, 9, 2], [0, 12, -1, 4]]
+    for matrix in [shared] + [[[rng.choice([-12, -6, 6, 12])] + [rng.randint(-4, 4) for _ in range(4)]
+                               for _ in range(rng.randint(2, 5))] for _ in range(10)]:
+        space = IntRowSpace(len(matrix[0]))
+        for row in matrix:
+            space.add(row)
+        _assert_echelon(space)
+        assert space.rank == _rational_rank(matrix, len(matrix[0]))
+        assert all(space.contains(row) for row in matrix)
 
     for _ in range(40):
         nrows, ncols = rng.randint(1, 6), rng.randint(1, 5)
@@ -69,6 +91,7 @@ def test_int_row_space_matches_rational_rank():
         space = IntRowSpace(ncols)
         for row in matrix:
             space.add(row)
+        _assert_echelon(space)
         assert space.rank == _rational_rank(matrix, ncols)
         combination = [0] * ncols
         for row in matrix:
@@ -104,6 +127,7 @@ def test_int_row_space_matches_rational_rank():
         matrix.append(row)
         assert space.rank == rank + 1 == _rational_rank(matrix, ncols)
         assert space.contains(row)
+        _assert_echelon(space)
         checked += 1
     assert checked >= 10
 
