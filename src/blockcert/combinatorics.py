@@ -69,9 +69,6 @@ class Block:
     def pair_count(self) -> int:
         return len(self.left) * (len(self.ground) - len(self.left))
 
-    def transpose(self) -> "Block":
-        return _trusted(Block, ground=self.ground, left=self.right)
-
 
 def enumerate_blocks(ground: IndexSet) -> list[Block]:
     """All 2^n - 2 blocks, left parts listed in binary subset order."""
@@ -99,7 +96,8 @@ def select_pivot(mono: Monomial, required_rest: int) -> Label:
     for z in mono.ground:
         if _degree_avoiding(mono, z) >= required_rest:
             return z
-    raise RuntimeError("internal consistency failure: no qualifying pivot exists")
+    raise RuntimeError(f"internal consistency failure: no label of {mono.ground.elements} leaves degree "
+                       f"{required_rest} on the pairs that avoid it, for exponents {mono.exps}")
 
 
 def split_at(mono: Monomial, pivot: Label) -> tuple[Exponents, Exponents]:
@@ -140,7 +138,9 @@ def branch_of_split(mono: Monomial, outer: Block, left_bound: int, right_bound: 
     if left_degree >= left_bound:
         return "H", tuple(on_left), tuple(on_right)
     if right_degree < right_bound:
-        raise RuntimeError("internal consistency failure: neither side reaches its bound")
+        raise RuntimeError(f"internal consistency failure: neither side of {left} x {outer.right} reaches its "
+                           f"bound, left {left_degree} < {left_bound} and right {right_degree} < {right_bound}, "
+                           f"for exponents {mono.exps}")
     return "W", tuple(on_right), tuple(on_left)
 
 
@@ -159,8 +159,6 @@ def iter_compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
 
 def sample_composition(total: int, parts: int, rng: random.Random) -> tuple[int, ...]:
     """One composition drawn uniformly from all of them (stars and bars)."""
-    if parts == 1:
-        return (total,)
     slots = total + parts - 1
     bars = sorted(rng.sample(range(slots), parts - 1))
     out = []

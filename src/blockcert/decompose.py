@@ -60,10 +60,15 @@ class Certificate:
             raise MalformedCertificateError(f"parameter g must be an integer >= 2, got {self.g!r}")
         if not isinstance(self.input, Monomial) or self.input.ground != self.ground:
             raise MalformedCertificateError("input must be a monomial over the certificate ground set")
+        if type(self.entries) is not tuple:  # a list would leave the frozen value unhashable
+            raise MalformedCertificateError(f"entries must be a tuple, got {type(self.entries).__name__}")
         seen = set()
         for entry in self.entries:
             if not isinstance(entry, CertificateEntry):
                 raise MalformedCertificateError("entries must be CertificateEntry values")
+            if not isinstance(entry.block, Block) or not isinstance(entry.cofactor, Polynomial):
+                raise MalformedCertificateError(f"an entry must hold a Block and a Polynomial, got "
+                                                f"{type(entry.block).__name__} and {type(entry.cofactor).__name__}")
             if entry.block.ground != self.ground or entry.cofactor.ground != self.ground:
                 raise MalformedCertificateError("entry ground set differs from certificate ground set")
             if entry.block.left in seen:
@@ -123,28 +128,23 @@ def merge_blocks(outer: Block, inner: Block, ground: IndexSet,
                  branch: str) -> tuple[Block, tuple[Pair, ...]]:
     """Combine an outer block (pivot removed) with an inner block (pivot present).
 
-    ``outer`` = L x R partitions ground minus a pivot z; ``inner`` partitions
-    L + {z} on branch "H" or R + {z} on branch "W", and is transposed if needed
-    so that z sits in its right part (H) or left part (W).  On H the inner
-    block A x (B + z) merges into A x (R + B + z), leaving B x R over; on W the
-    inner block (C + z) x D merges into (L + C + z) x D, leaving L x C over.
-    Returns the merged block over the full ground set and the leftover pairs
-    in ascending order.  The shapes are not checked: ``_solve`` builds them.
+    ``outer`` = L x R partitions ground minus a pivot z; ``inner``, in either
+    orientation, partitions L + {z} on branch "H" or R + {z} on branch "W".
+    With X the inner part that lacks z, the merged block splits the ground
+    into X and the rest, with the smallest label of ``ground`` in its right
+    part, as ``_solve`` stores it; (L - X) x R is left over on H and
+    L x (R - X) on W, in ascending order and in the outer orientation.
+    Returns the merged block and the leftover pairs.  The shapes are not
+    checked: ``_solve`` builds them.
     """
     (pivot,) = set(inner.ground) - set(outer.ground)
+    part = inner.right if pivot in inner.left else inner.left
     if branch == "H":
-        if pivot in inner.left:
-            inner = inner.transpose()
-        merged_left = inner.left
-        leftover = tuple(product((b for b in inner.right if b != pivot), outer.right))
+        leftover = tuple(product((b for b in outer.left if b not in part), outer.right))
     else:
-        if pivot in inner.right:
-            inner = inner.transpose()
-        inner_right = set(inner.right)
-        merged_left = tuple(lab for lab in ground if lab not in inner_right)
-        leftover = tuple(product(outer.left, (c for c in inner.left if c != pivot)))
-    # valid by the shapes above: inner.left (H) is nonempty and lacks the pivot; the
-    # complement of inner.right (W) holds the pivot and misses the nonempty inner.right
+        leftover = tuple(product(outer.left, (c for c in outer.right if c not in part)))
+    # valid by the shapes above: part is nonempty and lacks the pivot, which its complement holds
+    merged_left = tuple(lab for lab in ground if lab not in part) if ground.min() in part else part
     return _trusted(Block, ground=ground, left=merged_left), leftover
 
 
@@ -175,10 +175,10 @@ def _solve(ground: IndexSet, exps: Exponents, run: _Recursion) -> Entries:
     map.  A hit still takes its budget item, and is looked up after the pivot
     choice and the split, so every sub-problem passes ``split_at``, where
     perfbench/tracing.py counts repeats.  ``run.joins`` holds, per (labels,
-    pivot, outer left part) and (branch, inner left part), the merged left
-    part with the smallest label on the right and the leftover pairs^m; the
-    loop looks the join up there and makes it with ``merge_blocks`` on a
-    miss, so that runs once per block pair in the call.
+    pivot, outer left part) and (branch, inner left part), the left part of
+    the block ``merge_blocks`` returns and the leftover pairs^m; the loop
+    looks the join up there and makes it with ``merge_blocks`` on a miss,
+    so that runs once per block pair in the call.
     """
     m, bounds, budget, memo, joins = run
     next(budget)  # an empty budget raises StopIteration, which decompose reports
@@ -223,8 +223,7 @@ def _solve(ground: IndexSet, exps: Exponents, run: _Recursion) -> Entries:
                     if (join := known.get((side, inner_left))) is None:
                         inner_block = _trusted(Block, ground=sub_ground, left=inner_left)
                         merged, leftover = merge_blocks(outer_block, inner_block, ground, side)
-                        join = known[side, inner_left] = (merged.right if labels[0] in merged.left else merged.left,
-                                                          tuple((pair, m) for pair in leftover))
+                        join = known[side, inner_left] = (merged.left, tuple((pair, m) for pair in leftover))
                     merged_left, factor = join
                     terms = acc.setdefault(merged_left, {})
                     extra = _merge_exps(spare, factor)

@@ -4,6 +4,7 @@ from fractions import Fraction
 import random
 
 from blockcert import IndexSet, Monomial, Polynomial
+from blockcert import combinatorics
 from blockcert.combinatorics import sample_composition
 
 
@@ -75,3 +76,16 @@ def relation_generators(ground):
 
 def standard_ground(n):
     return IndexSet(tuple(range(1, n + 1)))
+
+
+def fail_pivot_once(monkeypatch):
+    """Make ``select_pivot`` fail on x[1,2]^11 only, the composition (11, 0, 0)
+    of the pivot lemma check at n = 3, g = 2, as an internal failure would."""
+    real = combinatorics.select_pivot
+
+    def fails_once(mono, required_rest):
+        if mono.exps == (((1, 2), 11),):
+            raise RuntimeError("no qualifying pivot")
+        return real(mono, required_rest)
+
+    monkeypatch.setattr(combinatorics, "select_pivot", fails_once)

@@ -30,7 +30,7 @@ from blockcert import (
     verify_certificate,
 )
 from blockcert.ring import _block_form
-from helpers import random_poly, standard_ground
+from helpers import fail_pivot_once, random_poly, standard_ground
 
 X2 = IndexSet((1, 2))
 X3 = IndexSet((1, 2, 3))
@@ -301,7 +301,7 @@ def test_cmd_blocks(capsys):
     assert code == 0 and len(json.loads(out)) == 6
 
 
-def test_cmd_lemma_suites(capsys):
+def test_cmd_lemma_suites(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "lemma-lines", "--ground", "1,2,3", "--g", "2")
     assert code == 0 and "all 78 cases hold" in out
     code, out, _ = run_cli(capsys, "lemma-lines", "--ground", "1,2,3,4", "--g", "2",
@@ -314,6 +314,12 @@ def test_cmd_lemma_suites(capsys):
     assert code == 3 and out == "" and "sample count must be nonnegative" in err
     code, out, _ = run_cli(capsys, "lemma-lines", "--ground", "1,2,3", "--g", "2", "--samples", "0")
     assert code == 0 and out == "pivot selection (exhaustive): all 78 cases hold\n"
+    # the check runs select_pivot itself, so a RuntimeError there is a failing case
+    fail_pivot_once(monkeypatch)
+    code, out, _ = run_cli(capsys, "lemma-lines", "--ground", "1,2,3", "--g", "2")
+    assert code == 1 and out == "pivot selection (exhaustive): 1 of 78 cases FAILED, first: (11, 0, 0)\n"
+    code, out, _ = run_cli(capsys, "lemma-lines", "--ground", "1,2,3", "--g", "2", "--json")
+    assert code == 1 and json.loads(out) == {"checked": 78, "failures": [[11, 0, 0]]}
 
 
 def test_cmd_hilbert_csv_and_json(capsys):

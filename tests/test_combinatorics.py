@@ -24,7 +24,7 @@ from blockcert.combinatorics import (
     select_pivot,
     split_at,
 )
-from helpers import random_monomial, standard_ground
+from helpers import fail_pivot_once, random_monomial, standard_ground
 
 X3 = IndexSet((1, 2, 3))
 X4 = IndexSet((1, 2, 3, 4))
@@ -37,7 +37,6 @@ def test_block_validation():
     assert b.right == (2,)
     assert b.pairs == ((1, 2), (3, 2))
     assert b.pair_count == 2
-    assert b.transpose() == Block(X3, (2,))
     with pytest.raises(PreconditionError):
         Block(X3, ())
     with pytest.raises(PreconditionError):
@@ -77,6 +76,10 @@ REST_BOUND = vanishing_bound(2, 2)
 def test_select_pivot_examples():
     assert select_pivot(Monomial.make(X3, 1, {(1, 2): 11}), REST_BOUND) == 3
     assert select_pivot(Monomial.make(X3, 1, {(1, 2): 4, (1, 3): 4, (2, 3): 3}), REST_BOUND) == 2
+    # an unreachable threshold: the failure names the labels, the threshold and the exponents
+    with pytest.raises(RuntimeError, match=r"no label of \(1, 2, 3\) leaves degree 12 on the pairs "
+                                           r"that avoid it, for exponents \(\(\(1, 2\), 11\),\)"):
+        select_pivot(Monomial.make(X3, 1, {(1, 2): 11}), 12)
 
 
 def test_select_pivot_counts_both_orientations():
@@ -145,6 +148,11 @@ def test_branch_of_split_examples():
     # ties prefer H: 4 on the left meets the bound even with 3 on the right
     m = Monomial.make(X3, 1, {(1, 2): 4, (1, 3): 3})
     assert branch_of_split(m, outer, *bounds)[0] == "H"
+    # unreachable bounds: the failure names the outer block, both degrees and bounds, and the exponents
+    m = Monomial.make(X3, 1, {(1, 2): 3, (1, 3): 4})
+    with pytest.raises(RuntimeError, match=r"neither side of \(2,\) x \(3,\) reaches its bound, left 3 < 5 "
+                                           r"and right 4 < 5, for exponents \(\(\(1, 2\), 3\), \(\(1, 3\), 4\)\)"):
+        branch_of_split(m, outer, 5, 5)
 
 
 def test_branch_of_split_partitions_the_factors():
@@ -249,6 +257,15 @@ def test_split_lemma_reports_each_failing_case(monkeypatch):
     assert split_lemma_check(X3, 2) == (8, [(1, 1, 3, 4)])
 
 
+def test_pivot_lemma_reports_each_failing_case(monkeypatch):
+    # the check runs select_pivot itself, so a RuntimeError there is a failing case
+    fail_pivot_once(monkeypatch)
+    # n = 3, g = 2: 78 compositions of 11 into 3 slots, exhaustive or sampled
+    assert pivot_lemma_check(X3, 2) == (78, [(11, 0, 0)])
+    checked, failures = pivot_lemma_check(X3, 2, samples=2000, seed=1)
+    assert checked == 2000 and failures and set(failures) == {(11, 0, 0)}
+
+
 # -- composition helpers -----------------------------------------------------------
 
 def test_iter_compositions():
@@ -266,3 +283,8 @@ def test_sample_composition_uniform_support():
         assert sum(c) == 3 and len(c) == 2 and min(c) >= 0
         seen.add(c)
     assert seen == {(3, 0), (2, 1), (1, 2), (0, 3)}
+    # one part: the whole total, and the generator draws nothing
+    for total in (0, 1, 5, 37, 10**12):
+        state = rng.getstate()
+        assert sample_composition(total, 1, rng) == (total,)
+        assert rng.getstate() == state

@@ -116,7 +116,7 @@ def test_merge_blocks_h_branch():
     outer = Block(IndexSet((1, 2, 3)), (1,))
     inner = Block(IndexSet((1, 4)), (1,))
     merged, leftover = merge_blocks(outer, inner, X4, "H")
-    assert merged == Block(X4, (1,))
+    assert merged == Block(X4, (2, 3, 4))
     assert leftover == ()
 
 
@@ -124,7 +124,7 @@ def test_merge_blocks_w_branch():
     outer = Block(IndexSet((1, 2, 3)), (1,))
     inner = Block(IndexSet((2, 3, 4)), (4,))
     merged, leftover = merge_blocks(outer, inner, X4, "W")
-    assert merged == Block(X4, (1, 4))
+    assert merged == Block(X4, (2, 3))
     assert leftover == ()
 
 
@@ -132,16 +132,20 @@ def test_merge_blocks_with_leftover():
     outer = Block(IndexSet((1, 2, 3)), (1, 2))
     inner = Block(IndexSet((1, 2, 4)), (1,))
     merged, leftover = merge_blocks(outer, inner, X4, "H")
-    assert merged == Block(X4, (1,))
+    assert merged == Block(X4, (2, 3, 4))
     assert leftover == ((2, 3),)
 
 
 def test_merge_blocks_normalizes_inner_orientation():
     outer = Block(IndexSet((1, 2, 3)), (1,))
-    # pivot 4 on the left gets transposed for the H branch
+    # pivot 4 on the left: the inner block in the other orientation merges the same way
     inner = Block(IndexSet((1, 4)), (4,))
     merged, leftover = merge_blocks(outer, inner, X4, "H")
-    assert merged == Block(X4, (1,)) and leftover == ()
+    assert merged == Block(X4, (2, 3, 4)) and leftover == ()
+
+
+def unordered_pairs(pairs):
+    return {frozenset(pair) for pair in pairs}
 
 
 @pytest.mark.parametrize("n", [4, 5])
@@ -154,16 +158,15 @@ def test_merge_blocks_every_block_pair(n):
                 # enumerate_blocks lists every block in both orientations
                 for inner in enumerate_blocks(IndexSet(tuple(sorted(side + (z,))))):
                     merged, leftover = merge_blocks(outer, inner, ground, branch)
-                    # z goes to the right part on H and to the left part on W
-                    oriented = inner if (z in inner.right) == (branch == "H") else inner.transpose()
-                    assert merged.ground == ground
-                    assert not set(merged.pairs) & set(leftover)
-                    assert set(merged.pairs) | set(leftover) == set(outer.pairs) | set(oriented.pairs)
+                    # the merged block splits the ground into the inner part without z and the rest
+                    part = frozenset(inner.right if z in inner.left else inner.left)
+                    assert merged.ground == ground and ground.min() in merged.right
+                    assert {frozenset(merged.left), frozenset(merged.right)} == {part, frozenset(ground) - part}
+                    assert not unordered_pairs(merged.pairs) & unordered_pairs(leftover)
+                    assert (unordered_pairs(merged.pairs) | unordered_pairs(leftover)
+                            == unordered_pairs(outer.pairs) | unordered_pairs(inner.pairs))
+                    assert set(leftover) <= set(outer.pairs)
                     assert all(a < b for a, b in zip(leftover, leftover[1:]))
-                    if branch == "H":
-                        assert merged.left == oriented.left
-                    else:
-                        assert merged.right == oriented.right
                     checked += 1
     # n * sum over outer blocks (h, w) of (2^(h+1) - 2) + (2^(w+1) - 2) inner blocks
     assert checked == {4: 4 * (6 * 8), 5: 5 * (8 * 16 + 6 * 12)}[n]
@@ -411,6 +414,13 @@ def test_malformed_certificates_rejected_at_construction():
         Certificate(X2, 2, mono, (entry, entry))
     with pytest.raises(MalformedCertificateError, match="CertificateEntry"):
         Certificate(X2, 2, mono, ((entry.block, entry.cofactor),))
+    # wrong types inside an entry, and entries in a list, which would make the value unhashable
+    for bad in (CertificateEntry(5, entry.cofactor), CertificateEntry(entry.block, 5),
+                CertificateEntry(entry.block, Monomial.make(X2, 1, {}))):
+        with pytest.raises(MalformedCertificateError, match="must hold a Block and a Polynomial"):
+            Certificate(X2, 2, mono, (bad,))
+    with pytest.raises(MalformedCertificateError, match="entries must be a tuple, got list"):
+        Certificate(X2, 2, mono, [entry])
     # an entry whose block or cofactor is over another ground than the input's
     mono3 = Monomial.make(X3, 1, {(1, 2): 11})
     for other in (entry, CertificateEntry(Block(X3, (1,)), Polynomial.constant(X2, 1))):
